@@ -22,6 +22,7 @@ Exit codes: 0 success / all checks passed, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -51,21 +52,28 @@ _ANGLE_RE = re.compile(r"^(-?)pi(?:/(\d+(?:\.\d*)?))?$")
 
 
 def parse_complex(text: str) -> complex:
-    """Parse '0.7', '-0.4+0.3i' or '1j' into a complex number."""
+    """Parse '0.7', '-0.4+0.3i' or '1j' into a finite complex number."""
     cleaned = text.strip().replace("i", "j").replace("I", "j")
-    if "inf" in cleaned.lower() or "nan" in cleaned.lower():
+    value = complex(cleaned.replace(" ", ""))
+    if not cmath.isfinite(value):
         raise ValueError(f"non-finite complex value: {text!r}")
-    return complex(cleaned.replace(" ", ""))
+    return value
 
 
 def parse_angle(text: str) -> float:
-    """Parse an angle in radians; accepts 'pi' and fractions like 'pi/4'."""
+    """Parse a finite angle in radians; accepts 'pi' and fractions like 'pi/4'."""
     cleaned = text.strip().lower()
     m = _ANGLE_RE.match(cleaned)
+    if m and m.group(2) and float(m.group(2)) == 0:
+        raise ValueError(f"angle divides pi by zero: {text!r}")
     if m:
         value = math.pi / float(m.group(2)) if m.group(2) else math.pi
-        return -value if m.group(1) else value
-    return float(cleaned)
+        value = -value if m.group(1) else value
+    else:
+        value = float(cleaned)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite angle: {text!r}")
+    return value
 
 
 def complex_pair(z: complex) -> list[float]:

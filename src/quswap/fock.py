@@ -35,7 +35,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import gammainc
 
 from .core import mat_exp, tensor_op, tensor_state
 
@@ -168,11 +168,12 @@ def number(cutoff) -> ModeOperator:
 def coherent_truncation_weight(z: complex, cutoff) -> float:
     """Probability weight of |z> above the cutoff: 1 - sum_{n<=n_max} e^-|z|^2 |z|^2n / n!.
 
-    Computed as a Poisson tail so that tiny weights are not lost to
+    Computed as a Poisson tail, the regularized lower incomplete gamma
+    function P(n_max + 1, |z|^2), so that tiny weights are not lost to
     cancellation.
     """
     c = _cutoff(cutoff)
-    return float(poisson.sf(c.n_max, abs(z) ** 2))
+    return float(gammainc(c.n_max + 1, abs(z) ** 2))
 
 
 def coherent_state(z: complex, cutoff) -> np.ndarray:
@@ -287,40 +288,39 @@ def beamsplitter(t, cutoff) -> ModeOperator:
         U a1 U^-1 = cos|t| a1 - (t/|t|) sin|t| a2
         U a2 U^-1 = cos|t| a2 + (conj(t)/|t|) sin|t| a1.
 
-    On blocks of total number <= n_max the truncated matrix agrees with the
-    untruncated operator; higher blocks are distorted but still unitary.
-    """
-    c = _cutoff(cutoff)
-    p = _param(t)
-    a1, a2 = _mode_ops(c)
-    gen = p.t * a1.conj().T @ a2 - np.conj(p.t) * a2.conj().T @ a1
-    return ModeOperator(c, mat_exp(gen), "beamsplitter")
-
-
-def beamsplitter_blockwise(t, cutoff) -> ModeOperator:
-    """The same beamsplitter assembled one total-photon-number block at a time.
-
-    Block n carries the spin-(n/2) representation of su(2): with
-    m = n1 - n/2, the raising element a1^dag a2 has matrix elements
+    Assembled one total-photon-number block at a time: block n carries the
+    spin-(n/2) representation of su(2), in which, with m = n1 - n/2, the
+    raising element a1^dag a2 has matrix elements
     sqrt((j - m)(j + m + 1)) = sqrt((n1 + 1) n2). Each block generator is
-    exponentiated on its own, making this an independent cross-check for
-    the dense-exponential construction. Blocks with n > n_max keep only
-    occupations within the cutoff.
+    exponentiated on its own. Blocks with n > n_max keep only occupations
+    within the cutoff, exactly as the truncated two-mode generator does:
+    on blocks of total number <= n_max the matrix agrees with the
+    untruncated operator, higher blocks are distorted but still unitary.
     """
     c = _cutoff(cutoff)
     p = _param(t)
     u = np.zeros((c.dim2, c.dim2), dtype=complex)
     for n in range(2 * c.n_max + 1):
-        n1s = range(max(0, n - c.n_max), min(n, c.n_max) + 1)
-        idx = np.array([n1 * c.dim + (n - n1) for n1 in n1s])
-        size = len(idx)
-        gen = np.zeros((size, size), dtype=complex)
-        for i, n1 in enumerate(list(n1s)[:-1]):
-            elem = math.sqrt((n1 + 1) * (n - n1))
-            gen[i + 1, i] = p.t * elem
-            gen[i, i + 1] = -np.conj(p.t) * elem
-        u[np.ix_(idx, idx)] = mat_exp(gen) if size > 1 else np.eye(1)
-    return ModeOperator(c, u, "beamsplitter-blockwise")
+        n1 = np.arange(max(0, n - c.n_max), min(n, c.n_max) + 1)
+        idx = n1 * c.dim + (n - n1)
+        elem = np.sqrt((n1[:-1] + 1) * (n - n1[:-1]))
+        gen = np.diag(p.t * elem, k=-1) - np.diag(np.conj(p.t) * elem, k=1)
+        u[np.ix_(idx, idx)] = mat_exp(gen)
+    return ModeOperator(c, u, "beamsplitter")
+
+
+def beamsplitter_blockwise(t, cutoff) -> ModeOperator:
+    """Alias of ``beamsplitter``, which is itself assembled block by block."""
+    return beamsplitter(t, cutoff)
+
+
+def _phase_diagonal(theta: float, mode: int, c: FockCutoff) -> np.ndarray:
+    """Diagonal of V_mode(theta) = exp(i theta N_mode) on the two-mode space."""
+    if mode not in (1, 2):
+        raise ValueError(f"mode must be 1 or 2, got {mode}")
+    phases = np.exp(1j * theta * np.arange(c.dim))
+    ones = np.ones(c.dim)
+    return np.kron(phases, ones) if mode == 1 else np.kron(ones, phases)
 
 
 def phase_op(theta: float, mode: int, cutoff) -> ModeOperator:
@@ -330,12 +330,7 @@ def phase_op(theta: float, mode: int, cutoff) -> ModeOperator:
     coherent parameter z to e^(i theta) z.
     """
     c = _cutoff(cutoff)
-    if mode not in (1, 2):
-        raise ValueError(f"mode must be 1 or 2, got {mode}")
-    phases = np.diag(np.exp(1j * theta * np.arange(c.dim)))
-    eye = np.eye(c.dim)
-    m = tensor_op(phases, eye) if mode == 1 else tensor_op(eye, phases)
-    return ModeOperator(c, m, f"phase-mode{mode}")
+    return ModeOperator(c, np.diag(_phase_diagonal(theta, mode, c)), f"phase-mode{mode}")
 
 
 def exchange_protocol(theta: float, cutoff) -> ModeOperator:
@@ -356,15 +351,8 @@ def exchange_protocol(theta: float, cutoff) -> ModeOperator:
     c = _cutoff(cutoff)
     t = (math.pi / 2) * complex(math.cos(theta), math.sin(theta))
     u = beamsplitter(t, c).matrix
-    corrector = phase_op(-theta, 1, c).matrix @ phase_op(theta + math.pi, 2, c).matrix
-    return ModeOperator(c, corrector @ u, "exchange")
-
-
-def _clone_unitary(p: BeamsplitterParam, c: FockCutoff) -> np.ndarray:
-    # beamsplitter leaves the second-mode coefficient as -e^(-i theta) sin|t|;
-    # V2(theta + pi) turns it into +sin|t|
-    u = beamsplitter(p, c).matrix
-    return phase_op(p.phase + math.pi, 2, c).matrix @ u
+    phases = _phase_diagonal(-theta, 1, c) * _phase_diagonal(theta + math.pi, 2, c)
+    return ModeOperator(c, phases[:, None] * u, "exchange")
 
 
 def imperfect_clone_numeric(x, t, cutoff) -> np.ndarray:
@@ -392,7 +380,10 @@ def imperfect_clone_numeric(x, t, cutoff) -> np.ndarray:
         )
     vacuum = np.zeros(c.dim, dtype=complex)
     vacuum[0] = 1.0
-    return _clone_unitary(p, c) @ tensor_state(x, vacuum)
+    split = beamsplitter(p, c).matrix @ tensor_state(x, vacuum)
+    # the beamsplitter leaves the second-mode coefficient as
+    # -e^(-i theta) sin|t|; V2(theta + pi) turns it into +sin|t|
+    return _phase_diagonal(p.phase + math.pi, 2, c) * split
 
 
 def imperfect_clone_closed_form(x_coeffs, t, cutoff) -> np.ndarray:

@@ -230,6 +230,21 @@ def test_exchange_parse_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exchange", "--z1", "0", "--z2", "0", "--theta", "nan"],
+        ["exchange", "--z1", "0", "--z2", "0", "--theta", "pi/0"],
+        ["exchange", "--z1", "1e400", "--z2", "0"],
+        ["clone", "--z", "0", "--t-abs", "inf"],
+    ],
+)
+def test_non_finite_numbers_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
 def test_exchange_accepts_pi_theta(capsys):
     code, out, _ = run_cli(capsys, "exchange", "--z1", "0.3", "--z2", "0.1",
                            "--theta", "pi/2", "--n-max", "8")

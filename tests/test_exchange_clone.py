@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from quswap import core, fock, gates
-from quswap.verify import cached_clone_unitary, cached_exchange
 
 
 def random_mode_state(rng, support, dim):
@@ -36,7 +35,7 @@ def test_exchange_is_unitary():
 def test_exchange_swaps_coherent_pair(theta):
     n_max = 32
     z1, z2 = 0.7, -0.4 + 0.3j
-    e = cached_exchange(theta, n_max)
+    e = fock.exchange_protocol(theta, n_max).matrix
     inp = core.tensor_state(
         fock.coherent_state(z1, n_max), fock.coherent_state(z2, n_max)
     )
@@ -49,7 +48,7 @@ def test_exchange_swaps_coherent_pair(theta):
 def test_exchange_does_not_depend_on_inputs():
     # one fixed matrix serves every pair
     n_max = 16
-    e = cached_exchange(0.0, n_max)
+    e = fock.exchange_protocol(0.0, n_max).matrix
     for z1, z2 in [(0.2, 0.9j), (-0.5 + 0.1j, 0.3)]:
         inp = core.tensor_state(
             fock.coherent_state(z1, n_max), fock.coherent_state(z2, n_max)
@@ -66,7 +65,7 @@ def test_exchange_swaps_arbitrary_product_states(seed):
     rng = np.random.default_rng(7000 + seed)
     x = random_mode_state(rng, n_max // 2, n_max + 1)
     y = random_mode_state(rng, n_max // 2, n_max + 1)
-    e = cached_exchange(0.0, n_max)
+    e = fock.exchange_protocol(0.0, n_max).matrix
     got = e @ core.tensor_state(x, y)
     assert core.fidelity(core.tensor_state(y, x), got) >= 1 - 1e-8
 
@@ -76,7 +75,7 @@ def test_exchange_matches_index_swap_on_safe_blocks():
     # permutation, global phase included
     n_max = 16
     dim = n_max + 1
-    e = cached_exchange(0.3, n_max)
+    e = fock.exchange_protocol(0.3, n_max).matrix
     swap = np.zeros((dim * dim, dim * dim))
     for i in range(dim):
         for j in range(dim):
@@ -93,7 +92,7 @@ def test_exchange_matches_index_swap_on_safe_blocks():
 def test_exchange_agrees_with_qudit_swap_matrix():
     # same permutation as the gate-built swap on the truncated double mode
     n_max = 6
-    e = cached_exchange(0.0, n_max)
+    e = fock.exchange_protocol(0.0, n_max).matrix
     s = gates.swap_direct(n_max + 1).matrix
     safe = fock.total_number_projector(n_max, n_max // 2)
     assert core.max_abs((e - s) @ safe) <= 1e-10
@@ -103,7 +102,7 @@ def test_exchange_fidelity_converges_with_cutoff():
     z1, z2 = 0.9, -0.6 + 0.5j
     fids = []
     for n_max in (8, 16, 32):
-        e = cached_exchange(0.0, n_max)
+        e = fock.exchange_protocol(0.0, n_max).matrix
         with warnings.catch_warnings():
             # probing small cutoffs on purpose
             warnings.simplefilter("ignore", fock.TruncationWarning)
@@ -184,9 +183,7 @@ def test_clone_numeric_matches_closed_form(seed):
     rng = np.random.default_rng(9000 + seed)
     x = random_mode_state(rng, n_max // 2, n_max + 1)
     t = 0.7 * np.exp(0.4j)
-    got = cached_clone_unitary(complex(t), n_max) @ core.tensor_state(
-        x, core.basis_state(0, n_max + 1)
-    )
+    got = fock.imperfect_clone_numeric(x, t, n_max)
     want = fock.imperfect_clone_closed_form(x, t, n_max)
     assert core.fidelity(want, got) >= 1 - 1e-8
 

@@ -2,12 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from quswap import core, fock
 
 
 N_MAX = 16
 CUT = fock.FockCutoff(N_MAX)
+
+
+def dense_beamsplitter(t, cutoff):
+    """Oracle: one dense exponential of the whole truncated two-mode generator."""
+    jp, jm, _ = fock.schwinger_su2(cutoff)
+    return core.mat_exp(t * jp.matrix - np.conj(t) * jm.matrix)
 
 
 def rand_t(seed):
@@ -130,6 +137,14 @@ def test_truncation_weight_matches_poisson_tail():
     )
 
 
+@pytest.mark.parametrize("z", [0.01, 0.3, 0.5 + 0.5j, 1.0, 1.7, -2.2j, 3.0, 4.5, 6.0, 8.0])
+def test_truncation_weight_is_poisson_survival_function(z):
+    # the incomplete-gamma form is scipy's Poisson tail, bit for bit
+    mu = abs(z) ** 2
+    got = [fock.coherent_truncation_weight(z, k) for k in range(1, 65)]
+    assert got == [float(scipy.stats.poisson.sf(k, mu)) for k in range(1, 65)]
+
+
 def test_displacement_identity_and_inverse():
     assert core.max_abs(fock.displacement(0, CUT).matrix - np.eye(CUT.dim)) <= 1e-14
     z = 0.8 - 0.3j
@@ -249,7 +264,7 @@ def test_beamsplitter_splits_coherent_state():
 
 
 # ---------------------------------------------------------------------------
-# blockwise beamsplitter oracle
+# beamsplitter blocks, against the dense-exponential oracle
 # ---------------------------------------------------------------------------
 
 def test_blockwise_vacuum_block_is_trivial():
@@ -272,10 +287,10 @@ def test_blockwise_single_photon_block_is_rotation():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_blockwise_matches_dense_exponential(seed):
+    # every block, those above the cutoff included
     t = rand_t(50 + seed)
-    dense = fock.beamsplitter(t, CUT).matrix
-    blocks = fock.beamsplitter_blockwise(t, CUT).matrix
-    assert core.max_abs(dense - blocks) <= 1e-10
+    blocks = fock.beamsplitter(t, CUT).matrix
+    assert core.max_abs(dense_beamsplitter(t, CUT) - blocks) <= 1e-10
 
 
 def test_blockwise_blocks_are_unitary():

@@ -230,12 +230,17 @@ def test_conjugated_controlled_z_at_d2():
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_conjugation_identity_random_unitaries(d):
-    # S C_U S acts as |a>(x)|b> -> U^b|a>(x)|b>; the constructor itself
-    # cross-checks, so surviving construction is the assertion
+    # S C_U S acts as |a>(x)|b> -> U^b|a>(x)|b>: block (b, b) of the
+    # strided layout is U^b
     for seed in range(5):
         u = haar_unitary(d, seed=1000 * d + seed)
         gate = gates.conjugated_controlled_unitary(u, d)
-        assert gate.dim == d * d
+        direct = np.zeros((d * d, d * d), dtype=complex)
+        power = np.eye(d, dtype=complex)
+        for b in range(d):
+            direct[b::d, b::d] = power
+            power = u @ power
+        assert core.max_abs(gate.matrix - direct) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
