@@ -16,7 +16,8 @@ deterministic byte-for-byte except for the wall-time fields in verification
 reports.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 usage or input errors.
+2 usage or input errors, including a ValueError raised by the library on
+an invalid input and a malformed ``QUSWAP_TOL``.
 """
 
 from __future__ import annotations
@@ -120,13 +121,21 @@ def cmd_gate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _n_max_in_range(n_max: int) -> bool:
+    """Report a cutoff outside 1..64 on stderr; checked before anything is built."""
+    if 1 <= n_max <= 64:
+        return True
+    print(f"error: --n-max must be in 1..64, got {n_max}", file=sys.stderr)
+    return False
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if not (2 <= args.d_max <= 16):
         print(f"error: --d-max must be in 2..16, got {args.d_max}", file=sys.stderr)
         return 2
-    if not (1 <= args.n_max <= 64):
-        print(f"error: --n-max must be in 1..64, got {args.n_max}", file=sys.stderr)
+    if not _n_max_in_range(args.n_max):
         return 2
+    verify.analytic_tol()  # reject a malformed QUSWAP_TOL before any check runs
     reports = verify.run_suite(args.suite, d_max=args.d_max, n_max=args.n_max)
     all_passed = all(r.passed for r in reports)
     payload = {
@@ -142,15 +151,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_exchange(args: argparse.Namespace) -> int:
     n_max = args.n_max
+    if not _n_max_in_range(n_max):
+        return 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", fock.TruncationWarning)
+        state1 = fock.coherent_state(args.z1, n_max)
+        state2 = fock.coherent_state(args.z2, n_max)
     advisory = math.sqrt(n_max) / 4
     for label, z in (("z1", args.z1), ("z2", args.z2)):
         if abs(z) > advisory:
             print(f"warning: |{label}|={abs(z):.3f} exceeds the advisory bound "
                   f"sqrt(n_max)/4={advisory:.3f}", file=sys.stderr)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", fock.TruncationWarning)
-        state1 = fock.coherent_state(args.z1, n_max)
-        state2 = fock.coherent_state(args.z2, n_max)
     exchanged = fock.exchange_protocol(args.theta, n_max).apply(tensor_state(state1, state2))
     target = tensor_state(state2, state1)
     w1 = fock.coherent_truncation_weight(args.z1, n_max)
@@ -195,6 +206,8 @@ def _load_coefficients(path: str, dim: int) -> np.ndarray:
 
 def cmd_clone(args: argparse.Namespace) -> int:
     n_max = args.n_max
+    if not _n_max_in_range(n_max):
+        return 2
     if (args.input is None) == (args.z is None):
         print("error: provide exactly one of --input or --z", file=sys.stderr)
         return 2
@@ -260,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exch.add_argument("--z2", type=parse_complex, required=True)
     p_exch.add_argument("--theta", type=parse_angle, default=0.0,
                         help="beamsplitter phase (radians; accepts pi, pi/2, ...)")
-    p_exch.add_argument("--n-max", type=int, default=32)
+    p_exch.add_argument("--n-max", type=int, default=32, help="Fock cutoff (1..64)")
     p_exch.add_argument("--out", help="write to file instead of stdout")
     p_exch.set_defaults(func=cmd_exchange)
 
@@ -269,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_clone.add_argument("--z", type=parse_complex, help="coherent input parameter")
     p_clone.add_argument("--t-abs", type=parse_angle, required=True,
                          help="beamsplitter strength |t| (radians; accepts pi/4, ...)")
-    p_clone.add_argument("--n-max", type=int, default=32)
+    p_clone.add_argument("--n-max", type=int, default=32, help="Fock cutoff (1..64)")
     p_clone.add_argument("--out", help="write to file instead of stdout")
     p_clone.set_defaults(func=cmd_clone)
 
@@ -278,7 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # invalid input found by the library (coherent underflow, QUSWAP_TOL, ...)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

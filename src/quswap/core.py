@@ -141,9 +141,18 @@ def mat_exp(a) -> np.ndarray:
 
 
 def fidelity(x, y) -> float:
-    """|<x|y>|^2 for normalized state vectors, clipped into [0, 1]."""
+    """|<x|y>|^2 for normalized state vectors.
+
+    Raises ValueError when either norm differs from 1 by more than 1e-10,
+    so a result off by a scalar factor cannot pass as a perfect overlap;
+    the clip into [0, 1] only absorbs rounding.
+    """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    for name, v in (("first", x), ("second", y)):
+        norm = float(np.linalg.norm(v))
+        if not abs(norm - 1.0) <= 1e-10:
+            raise ValueError(f"{name} state has norm {norm!r}, not 1")
     return min(1.0, max(0.0, abs(np.vdot(x, y)) ** 2))

@@ -35,9 +35,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammainc
 
-from .core import mat_exp, tensor_op, tensor_state
+from .core import mat_exp, tensor_op
 
 __all__ = [
     "BeamsplitterParam",
@@ -92,30 +93,60 @@ def _cutoff(c) -> FockCutoff:
     return c if isinstance(c, FockCutoff) else FockCutoff(int(c))
 
 
-@dataclass(frozen=True)
 class ModeOperator:
-    """A labeled operator on the truncated one- or two-mode space."""
+    """A labeled operator on the truncated one- or two-mode space.
 
-    cutoff: FockCutoff
-    matrix: np.ndarray
-    label: str
+    Built from a dense matrix, or, for the two-mode operators that conserve
+    total photon number, from their blocks of fixed total (see
+    ``_from_blocks``): those apply block by block and assemble ``matrix``
+    on its first read.
+    """
 
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape not in ((self.cutoff.dim, self.cutoff.dim),
-                           (self.cutoff.dim2, self.cutoff.dim2)):
+    def __init__(self, cutoff: FockCutoff, matrix, label: str) -> None:
+        m = np.asarray(matrix, dtype=complex)
+        if m.shape not in ((cutoff.dim, cutoff.dim), (cutoff.dim2, cutoff.dim2)):
             raise ValueError(
                 f"operator shape {m.shape} fits neither one nor two modes "
-                f"at n_max={self.cutoff.n_max}"
+                f"at n_max={cutoff.n_max}"
             )
-        object.__setattr__(self, "matrix", m)
+        self.cutoff = cutoff
+        self.label = label
+        self._matrix = m
+        self._blocks = None
+
+    @classmethod
+    def _from_blocks(cls, cutoff: FockCutoff, blocks, label: str) -> ModeOperator:
+        """Two-mode operator from (indices, block) pairs whose indices partition the basis."""
+        op = cls.__new__(cls)
+        op.cutoff = cutoff
+        op.label = label
+        op._matrix = None
+        op._blocks = blocks
+        return op
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            m = np.zeros((self.cutoff.dim2, self.cutoff.dim2), dtype=complex)
+            for idx, block in self._blocks:
+                m[np.ix_(idx, idx)] = block
+            self._matrix = m
+        return self._matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.cutoff.dim2 if self._matrix is None else self._matrix.shape[0]
 
     def apply(self, state) -> np.ndarray:
-        return self.matrix @ np.asarray(state, dtype=complex)
+        state = np.asarray(state, dtype=complex)
+        if self._blocks is None:
+            return self._matrix @ state
+        if state.shape[:1] != (self.dim,):
+            raise ValueError(f"state of shape {state.shape} does not fit dimension {self.dim}")
+        out = np.empty_like(state)
+        for idx, block in self._blocks:
+            out[idx] = block @ state[idx]
+        return out
 
 
 @dataclass(frozen=True)
@@ -279,6 +310,21 @@ def schwinger_su2(cutoff) -> tuple[ModeOperator, ModeOperator, ModeOperator]:
     )
 
 
+def _number_block(n: int, c: FockCutoff) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spectrum of the beamsplitter generator on total photon number n.
+
+    Returns the first-mode occupations n1 that the cutoff keeps in block n,
+    in rising order, and the eigenpairs R = v diag(w) v^T of the real
+    symmetric tridiagonal R with off-diagonal sqrt((n1 + 1)(n - n1)), the
+    matrix elements of a1^dag a2 within the block. On that block the
+    generator t a1^dag a2 - conj(t) a2^dag a1 equals -i|t| P R P* with
+    P = diag(e^(i(theta + pi/2) n1)), so U_J(t) = P v e^(-i|t| w) v^T P*.
+    """
+    n1 = np.arange(max(0, n - c.n_max), min(n, c.n_max) + 1)
+    w, v = eigh_tridiagonal(np.zeros(len(n1)), np.sqrt((n1[:-1] + 1) * (n - n1[:-1])))
+    return n1, w, v
+
+
 def beamsplitter(t, cutoff) -> ModeOperator:
     """Two-mode beamsplitter U_J(t) = exp(t a1^dag a2 - conj(t) a2^dag a1).
 
@@ -288,25 +334,27 @@ def beamsplitter(t, cutoff) -> ModeOperator:
         U a1 U^-1 = cos|t| a1 - (t/|t|) sin|t| a2
         U a2 U^-1 = cos|t| a2 + (conj(t)/|t|) sin|t| a1.
 
-    Assembled one total-photon-number block at a time: block n carries the
+    Kept as its blocks of fixed total photon number n: block n carries the
     spin-(n/2) representation of su(2), in which, with m = n1 - n/2, the
     raising element a1^dag a2 has matrix elements
-    sqrt((j - m)(j + m + 1)) = sqrt((n1 + 1) n2). Each block generator is
-    exponentiated on its own. Blocks with n > n_max keep only occupations
-    within the cutoff, exactly as the truncated two-mode generator does:
-    on blocks of total number <= n_max the matrix agrees with the
-    untruncated operator, higher blocks are distorted but still unitary.
+    sqrt((j - m)(j + m + 1)) = sqrt((n1 + 1) n2). Each block is
+    exponentiated through the spectrum of its real tridiagonal generator
+    (``_number_block``), ``apply`` multiplies the state block by block, and
+    the dense ``matrix`` is assembled only when it is read. Blocks with
+    n > n_max keep only occupations within the cutoff, exactly as the
+    truncated two-mode generator does: on blocks of total number <= n_max
+    the operator agrees with the untruncated one, higher blocks are
+    distorted but still unitary.
     """
     c = _cutoff(cutoff)
     p = _param(t)
-    u = np.zeros((c.dim2, c.dim2), dtype=complex)
+    blocks = []
     for n in range(2 * c.n_max + 1):
-        n1 = np.arange(max(0, n - c.n_max), min(n, c.n_max) + 1)
-        idx = n1 * c.dim + (n - n1)
-        elem = np.sqrt((n1[:-1] + 1) * (n - n1[:-1]))
-        gen = np.diag(p.t * elem, k=-1) - np.diag(np.conj(p.t) * elem, k=1)
-        u[np.ix_(idx, idx)] = mat_exp(gen)
-    return ModeOperator(c, u, "beamsplitter")
+        n1, w, v = _number_block(n, c)
+        phases = np.exp(1j * (p.phase + math.pi / 2) * n1)
+        rotation = (v * np.exp(-1j * p.modulus * w)) @ v.T
+        blocks.append((n1 * c.dim + (n - n1), phases[:, None] * rotation * phases.conj()))
+    return ModeOperator._from_blocks(c, blocks, "beamsplitter")
 
 
 def beamsplitter_blockwise(t, cutoff) -> ModeOperator:
@@ -350,9 +398,12 @@ def exchange_protocol(theta: float, cutoff) -> ModeOperator:
     """
     c = _cutoff(cutoff)
     t = (math.pi / 2) * complex(math.cos(theta), math.sin(theta))
-    u = beamsplitter(t, c).matrix
     phases = _phase_diagonal(-theta, 1, c) * _phase_diagonal(theta + math.pi, 2, c)
-    return ModeOperator(c, phases[:, None] * u, "exchange")
+    blocks = [(idx, phases[idx, None] * block) for idx, block in beamsplitter(t, c)._blocks]
+    return ModeOperator._from_blocks(c, blocks, "exchange")
+
+
+_I_POWERS = np.array([1, 1j, -1, -1j])  # i^k for k mod 4, exactly
 
 
 def imperfect_clone_numeric(x, t, cutoff) -> np.ndarray:
@@ -378,12 +429,18 @@ def imperfect_clone_numeric(x, t, cutoff) -> np.ndarray:
             TruncationWarning,
             stacklevel=2,
         )
-    vacuum = np.zeros(c.dim, dtype=complex)
-    vacuum[0] = 1.0
-    split = beamsplitter(p, c).matrix @ tensor_state(x, vacuum)
-    # the beamsplitter leaves the second-mode coefficient as
-    # -e^(-i theta) sin|t|; V2(theta + pi) turns it into +sin|t|
-    return _phase_diagonal(p.phase + math.pi, 2, c) * split
+    # x (x) |0> has its level-n amplitude on the last basis vector
+    # (n1 = n) of block n, so only that column of each occupied block is
+    # built. With P from ``_number_block`` the column is
+    # P v (e^(-i|t| w) * v[n]) P*_n; V2(theta + pi) multiplies the entry
+    # with n2 = n - n1 by e^(i(theta + pi) n2), which cancels theta and
+    # leaves the phase i^n2.
+    out = np.zeros(c.dim2, dtype=complex)
+    for n in np.flatnonzero(x):
+        n1, w, v = _number_block(n, c)
+        column = v @ (np.exp(-1j * p.modulus * w) * v[-1])
+        out[n1 * c.dim + (n - n1)] = x[n] * _I_POWERS[(n - n1) % 4] * column
+    return out
 
 
 def imperfect_clone_closed_form(x_coeffs, t, cutoff) -> np.ndarray:

@@ -32,8 +32,18 @@ MONOTONE_JITTER = 1e-12  # double-precision slack between fidelities at differen
 
 
 def analytic_tol() -> float:
-    """Default tolerance for analytic (non-integer) identities; env-overridable."""
-    return float(os.environ.get("QUSWAP_TOL", "1e-10"))
+    """Default tolerance for analytic (non-integer) identities; env-overridable.
+
+    Raises ValueError unless ``QUSWAP_TOL`` is a finite positive number.
+    """
+    raw = os.environ.get("QUSWAP_TOL", "1e-10")
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"QUSWAP_TOL must be a finite positive number, got {raw!r}")
+    return tol
 
 
 @dataclass
@@ -232,7 +242,7 @@ def check_exchange_convergence(n_max: int) -> VerificationReport:
     for z1, z2 in pairs:
         fids = []
         for cut in ladder:
-            e = fock.exchange_protocol(0.0, cut).matrix
+            e = fock.exchange_protocol(0.0, cut)
             with warnings.catch_warnings():
                 # small cutoffs are probed on purpose
                 warnings.simplefilter("ignore", fock.TruncationWarning)
@@ -240,7 +250,7 @@ def check_exchange_convergence(n_max: int) -> VerificationReport:
                                         fock.coherent_state(z2, cut))
                 tgt = core.tensor_state(fock.coherent_state(z2, cut),
                                         fock.coherent_state(z1, cut))
-            fids.append(core.fidelity(tgt, e @ inp))
+            fids.append(core.fidelity(tgt, e.apply(inp)))
         for lo, hi in zip(fids, fids[1:]):
             violation = max(violation, lo - hi)
     return _deviation(

@@ -245,6 +245,36 @@ def test_non_finite_numbers_exit_2(argv, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "env,argv",
+    [
+        ({}, ["exchange", "--z1", "0", "--z2", "0", "--n-max", "0"]),
+        ({}, ["clone", "--z", "0.1", "--t-abs", "0.5", "--n-max", "0"]),
+        ({}, ["exchange", "--z1", "40", "--z2", "0", "--n-max", "8"]),  # coherent underflow
+        ({"QUSWAP_TOL": "abc"}, ["verify"]),
+    ],
+)
+def test_invalid_library_input_exits_2(env, argv, capsys, monkeypatch):
+    # a ValueError escaping main would fail this test as a traceback
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["exchange", "--z1", "0.1", "--z2", "0", "--n-max", "65"],
+    ["clone", "--z", "0.1", "--t-abs", "0.5", "--n-max", "65"],
+])
+def test_n_max_above_64_exits_2(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--n-max" in err
+
+
 def test_exchange_accepts_pi_theta(capsys):
     code, out, _ = run_cli(capsys, "exchange", "--z1", "0.3", "--z2", "0.1",
                            "--theta", "pi/2", "--n-max", "8")

@@ -236,6 +236,16 @@ def test_fidelity_self_and_orthogonal():
     assert core.fidelity(x, y) == 0.0
 
 
+def test_fidelity_rejects_unnormalized_inputs():
+    # a clip into [0, 1] would report a state scaled by 2 as a perfect overlap
+    v = core.basis_state(0, 4)
+    with pytest.raises(ValueError):
+        core.fidelity(v, 2 * v)
+    with pytest.raises(ValueError):
+        core.fidelity(0.5 * v, v)
+    assert core.fidelity(v, v) == 1.0
+
+
 def test_fidelity_rejects_dim_mismatch():
     with pytest.raises(ValueError):
         core.fidelity(core.basis_state(0, 2), core.basis_state(0, 3))

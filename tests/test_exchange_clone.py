@@ -188,6 +188,16 @@ def test_clone_numeric_matches_closed_form(seed):
     assert core.fidelity(want, got) >= 1 - 1e-8
 
 
+def test_clone_numeric_matches_closed_form_at_largest_cutoff():
+    n_max = 64
+    rng = np.random.default_rng(9100)
+    x = random_mode_state(rng, n_max // 2, n_max + 1)
+    t = 1.1 * np.exp(-2.3j)
+    got = fock.imperfect_clone_numeric(x, t, n_max)
+    want = fock.imperfect_clone_closed_form(x, t, n_max)
+    assert core.fidelity(want, got) >= 1 - 1e-8
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_clone_closed_form_preserves_norm(seed):
     n_max = 16

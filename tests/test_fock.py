@@ -297,6 +297,37 @@ def test_blockwise_blocks_are_unitary():
     assert core.is_unitary(fock.beamsplitter_blockwise(rand_t(9), CUT).matrix, 1e-12)
 
 
+@pytest.mark.filterwarnings("ignore::quswap.fock.TruncationWarning")
+@pytest.mark.parametrize("n_max", [2, 8, 16])
+def test_clone_numeric_matches_dense_oracle(n_max):
+    # one column per block against the dense exponential applied to x (x) |0>;
+    # x fills every level, the top ones included
+    rng = np.random.default_rng(700 + n_max)
+    x = rng.standard_normal(n_max + 1) + 1j * rng.standard_normal(n_max + 1)
+    x /= np.linalg.norm(x)
+    t = rand_t(60 + n_max)
+    inp = core.tensor_state(x, core.basis_state(0, n_max + 1))
+    phase = fock.phase_op(np.angle(t) + math.pi, 2, n_max).matrix
+    want = phase @ dense_beamsplitter(t, n_max) @ inp
+    got = fock.imperfect_clone_numeric(x, t, n_max)
+    assert core.max_abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 8, 32])
+@pytest.mark.parametrize("build", [
+    lambda n_max: fock.beamsplitter(rand_t(70 + n_max), n_max),
+    lambda n_max: fock.exchange_protocol(0.3 * n_max, n_max),
+], ids=["beamsplitter", "exchange"])
+def test_block_apply_matches_matrix(build, n_max):
+    op = build(n_max)
+    rng = np.random.default_rng(80 + n_max)
+    v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+    got = op.apply(v)  # before .matrix is first read
+    assert core.max_abs(got - op.matrix @ v) <= 1e-13
+    with pytest.raises(ValueError):
+        op.apply(v[:-1])
+
+
 # ---------------------------------------------------------------------------
 # phase operators
 # ---------------------------------------------------------------------------

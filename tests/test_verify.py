@@ -79,3 +79,11 @@ def test_exact_checks_ignore_env_tolerance(monkeypatch):
     report = verify.check_swap_decomposition(4)
     assert report.tolerance == 0.0
     assert report.passed
+
+
+@pytest.mark.parametrize("raw", ["abc", "nan", "inf", "-1", "0"])
+def test_analytic_tol_rejects_invalid_env(monkeypatch, raw):
+    # a NaN tolerance would fail every analytic check without saying why
+    monkeypatch.setenv("QUSWAP_TOL", raw)
+    with pytest.raises(ValueError, match="QUSWAP_TOL"):
+        verify.analytic_tol()
