@@ -81,15 +81,17 @@ def complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _entries(a: np.ndarray) -> list[list[float]]:
+    """Row-major [re, im] pairs of a complex array, as Python floats."""
+    return np.ascontiguousarray(a, dtype=complex).view(np.float64).reshape(-1, 2).tolist()
+
+
 def matrix_payload(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
-    entries = [complex_pair(z) for z in m.ravel()]
-    return {"dim": int(m.shape[0]), "entries": entries}
+    return {"dim": int(np.shape(m)[0]), "entries": _entries(m)}
 
 
 def vector_payload(v: np.ndarray) -> dict:
-    v = np.asarray(v, dtype=complex)
-    return {"dim": int(v.shape[0]), "entries": [complex_pair(z) for z in v]}
+    return {"dim": int(np.shape(v)[0]), "entries": _entries(v)}
 
 
 def _write(text: str, out_path: str | None) -> None:

@@ -9,8 +9,8 @@ two-qudit exchange (swap) gate:
 
     S = C_Sigma (K x 1) C~_Sigma (K x 1) C_Sigma (1 x K)
 
-with the rightmost factor applied first. ``swap_composed`` builds that
-product from the elementary gates and ``swap_direct`` builds S from its
+with the rightmost factor applied first. ``swap_composed`` composes the
+index maps of the elementary gates and ``swap_direct`` builds S from its
 definition; the two agree entrywise, which the verification suite checks
 exactly for d up to 16. At d = 2 the reverse gate is the identity and the
 product degenerates to the familiar three-controlled-NOT construction.
@@ -21,8 +21,8 @@ every controlled-unitary gate, and whether it generates all of U(d^2).
 ``controlled_unitary`` is provided only as a building block for exploring
 them.
 
-All permutation-valued gates are built with exact 0/1 entries, so identity
-checks on them hold with zero tolerance in float arithmetic.
+Permutation gates are built from integer index maps and the six-gate product
+is composed on those maps, so identity checks on them hold exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _levels, is_unitary, tensor_op
+from .core import _levels, is_unitary
 
 __all__ = [
     "QuditGate",
@@ -73,13 +73,18 @@ class QuditGate:
         return self.matrix @ np.asarray(state, dtype=complex)
 
 
+def _permutation(n: int, dest, label: str) -> QuditGate:
+    """The 0/1 gate on n-level qudits that sends basis index i to dest[i]."""
+    dim = len(dest)
+    m = np.zeros((dim, dim), dtype=complex)
+    m[dest, np.arange(dim)] = 1.0
+    return QuditGate(n, m, label)
+
+
 def sigma1(d) -> QuditGate:
     """Cyclic shift: |a> -> |a+1 mod d>. Reduces to Pauli X at d=2."""
     n = _levels(d)
-    m = np.zeros((n, n))
-    for a in range(n):
-        m[(a + 1) % n, a] = 1.0
-    return QuditGate(n, m, "sigma1")
+    return _permutation(n, (np.arange(n) + 1) % n, "sigma1")
 
 
 def sigma3(d) -> QuditGate:
@@ -94,10 +99,7 @@ def reverse_gate(d) -> QuditGate:
     An involution; the identity at d=2.
     """
     n = _levels(d)
-    m = np.zeros((n, n))
-    for a in range(n):
-        m[(n - a) % n, a] = 1.0
-    return QuditGate(n, m, "k")
+    return _permutation(n, -np.arange(n) % n, "k")
 
 
 def controlled_shift(d) -> QuditGate:
@@ -107,48 +109,37 @@ def controlled_shift(d) -> QuditGate:
     the computational basis. The d=2 case is controlled-NOT.
     """
     n = _levels(d)
-    m = np.zeros((n * n, n * n))
-    for a in range(n):
-        for b in range(n):
-            m[a * n + (a + b) % n, a * n + b] = 1.0
-    return QuditGate(n, m, "cshift")
+    a, b = np.divmod(np.arange(n * n), n)
+    return _permutation(n, a * n + (a + b) % n, "cshift")
 
 
 def controlled_shift_reversed(d) -> QuditGate:
     """Controlled shift with the roles swapped: |a> (x) |b> -> |a+b> (x) |b>."""
     n = _levels(d)
-    m = np.zeros((n * n, n * n))
-    for a in range(n):
-        for b in range(n):
-            m[((a + b) % n) * n + b, a * n + b] = 1.0
-    return QuditGate(n, m, "cshift-rev")
+    a, b = np.divmod(np.arange(n * n), n)
+    return _permutation(n, (a + b) % n * n + b, "cshift-rev")
 
 
 def swap_direct(d) -> QuditGate:
     """Exchange gate from its definition: index a*d+b -> b*d+a."""
     n = _levels(d)
-    m = np.zeros((n * n, n * n))
-    for a in range(n):
-        for b in range(n):
-            m[b * n + a, a * n + b] = 1.0
-    return QuditGate(n, m, "swap")
+    a, b = np.divmod(np.arange(n * n), n)
+    return _permutation(n, b * n + a, "swap")
 
 
 def swap_composed(d) -> QuditGate:
     """Exchange gate assembled from controlled shifts and reverse gates.
 
-    Computes C_Sigma (K x 1) C~_Sigma (K x 1) C_Sigma (1 x K) as a matrix
-    product, rightmost factor acting first. Agrees entrywise with
-    swap_direct; products of 0/1 permutation matrices are exact in floats.
+    Composes the index maps of C_Sigma (K x 1) C~_Sigma (K x 1) C_Sigma (1 x K),
+    rightmost factor acting first, and builds the gate from the result. The
+    composition is integer arithmetic, so agreement with swap_direct is an
+    exact equality, not a floating-point one.
     """
     n = _levels(d)
-    cs = controlled_shift(n).matrix
-    csr = controlled_shift_reversed(n).matrix
-    k = reverse_gate(n).matrix
-    eye = np.eye(n)
-    k1 = tensor_op(k, eye)
-    m = cs @ k1 @ csr @ k1 @ cs @ tensor_op(eye, k)
-    return QuditGate(n, m, "swap-composed")
+    a, b = np.divmod(np.arange(n * n), n)
+    cs, csr = a * n + (a + b) % n, (a + b) % n * n + b  # the two controlled shifts
+    k1, k2 = -a % n * n + b, a * n + -b % n  # K x 1 and 1 x K
+    return _permutation(n, cs[k1[csr[k1[cs[k2]]]]], "swap-composed")
 
 
 def controlled_unitary(u, d=None) -> QuditGate:
@@ -174,10 +165,12 @@ def controlled_unitary(u, d=None) -> QuditGate:
 def conjugated_controlled_unitary(u, d=None) -> QuditGate:
     """S C_U S, which retargets the control: |a> (x) |b> -> U^b |a> (x) |b>.
 
-    The returned matrix is the conjugation product.
+    S is a permutation and an involution, so the conjugation relabels rows
+    and columns of C_U by the swap's index map.
     """
     u = np.asarray(u, dtype=complex)
     n = _levels(d) if d is not None else u.shape[0]
     cu = controlled_unitary(u, n)
-    s = swap_direct(n).matrix
-    return QuditGate(n, s @ cu.matrix @ s, "conjugated-controlled-unitary")
+    a, b = np.divmod(np.arange(n * n), n)
+    p = b * n + a  # the swap's index map
+    return QuditGate(n, cu.matrix[np.ix_(p, p)], "conjugated-controlled-unitary")

@@ -228,8 +228,11 @@ def check_beamsplitter_number_conservation(n_max: int) -> VerificationReport:
     dev = 0.0
     for t in (0.9, 0.5 * np.exp(1j * math.pi / 3), (math.pi / 2) * np.exp(-1j * math.pi / 5)):
         u = fock.beamsplitter(complex(t), n_max).matrix
-        # N1 + N2 is diagonal, so [U, N1 + N2]_ij = U_ij (n_j - n_i)
-        dev = max(dev, core.max_abs(u * (n_tot[None, :] - n_tot[:, None])))
+        # N1 + N2 is diagonal, so [U, N1 + N2]_ij = U_ij (n_j - n_i); one row
+        # at a time keeps the temporaries at one row
+        for i, row in enumerate(u):
+            dev = max(dev, core.max_abs(row * (n_tot - n_tot[i])))
+        del u  # free this matrix before the next one is built
     return _deviation("beamsplitter-number-conservation", {"n_max": n_max}, dev, 1e-12, t0)
 
 

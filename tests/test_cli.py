@@ -1,8 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quswap import cli
 
@@ -51,6 +54,28 @@ def test_parse_complex_rejects_garbage():
 )
 def test_parse_angle(text, value):
     assert cli.parse_angle(text) == pytest.approx(value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_parsers_round_trip_repr_of_finite_floats(x):
+    assert cli.parse_complex(repr(x)) == complex(x)
+    assert cli.parse_angle(repr(x)) == x
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.complex_numbers(allow_nan=False, allow_infinity=False))
+def test_parse_complex_round_trips_repr_of_finite_complex(z):
+    assert cli.parse_complex(repr(z)) == z
+
+
+@pytest.mark.parametrize(
+    "text", ["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "nan+1j", "1+infj"])
+def test_parsers_reject_non_finite_text(text):
+    with pytest.raises(ValueError):
+        cli.parse_complex(text)
+    with pytest.raises(ValueError):
+        cli.parse_angle(text)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +138,60 @@ def test_gate_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "gate", "--name", "sigma3", "--d", "5")
     _, second, _ = run_cli(capsys, "gate", "--name", "sigma3", "--d", "5")
     assert first == second
+
+
+# sha256 of the stdout of `quswap gate --name NAME --d D --format FORMAT`
+GATE_DUMP_SHA256 = {
+    ("cshift", 2, "json"): "607f4ee51bda343f6acf20e8d64ed0d200e5031a5bfc47690695c22560e591f6",
+    ("cshift", 2, "csv"): "83d32d8ea7fcd9ed3328aa5771fadecddc903ace3dc37ce4ffeae0dc369bbeda",
+    ("cshift", 5, "json"): "a952f214b4217b32b90c5b3b67bad9e5af5a75de9dfdd7cb0edd9af01c32c908",
+    ("cshift", 5, "csv"): "af813665ff4f83fd069177475c7602c86052c3eaf694c12d3358e13cf917a95d",
+    ("cshift", 16, "json"): "28a0d562d2abfcf5e4a29e27545a65da6fd44c47e20e4b2e2e7fb62bc2ed80cb",
+    ("cshift", 16, "csv"): "a8dacb6b6889ba5a407a6372015b6ce2c1e3352cae41366849af03bb9920de65",
+    ("cshift-rev", 2, "json"): "a635d6e1cd58b16db58cb1990325125a5a68f2307e4e49d7ec877af00f78886f",
+    ("cshift-rev", 2, "csv"): "de9717ac68da0ad8166cb4fd5ae66a8427474907ca0e15efca85f9613ba4ce74",
+    ("cshift-rev", 5, "json"): "faeedcfc3cb42b9b2b6fca700e5e70331d5e4562af401f91bc5e111b64b936f7",
+    ("cshift-rev", 5, "csv"): "cacb6d53b06be229fdfea9b99cf1553324dc055bb7c22b9a777b004d270643d2",
+    ("cshift-rev", 16, "json"): "1f551ceb7fe3f89f11cc8ec2cd5a33855e2454205ad7d61855ef6ca436f4757f",
+    ("cshift-rev", 16, "csv"): "0d024bbcd6612fb7ee0f87911faad741adceec89d57074eb4f42183f6f277cc5",
+    ("k", 2, "json"): "86c47a166fd661885fbf8dc7c54abf0f13ff88fa4a1668c32825be26bb914aac",
+    ("k", 2, "csv"): "c2bb3dd12b78126f1b50f9e6fc053a09546df11bd916f0fcb8fa19bff5e56db6",
+    ("k", 5, "json"): "b7750e7d91db296c6d32c4ee6f42ae69c0f1b2cb334e07283c5d00515b0b778b",
+    ("k", 5, "csv"): "ae8173ba0c51a77269278039b223a88191fb76970d0fc8a3c19fa4446260e28a",
+    ("k", 16, "json"): "2fc74f94bc5f8052bd5472ee6a399595a648629e4c4fefa49c736f222a2e99b1",
+    ("k", 16, "csv"): "20a93522f569df595dc3b062ee49d52ce74132240757b0a010d5553ee1ac8fc6",
+    ("sigma1", 2, "json"): "eca4bfa86fd91ceccc8cca857a1586e00d44d6e57bd84adea7e4bade79f5f20f",
+    ("sigma1", 2, "csv"): "cb2f1ed0186a639995c3fc4dc5038693866c2476b107fe33039c34669fbe3609",
+    ("sigma1", 5, "json"): "fe70c1091335a3124dc1616b005dc7ef115a00bbdf16f49746096036a3e49cac",
+    ("sigma1", 5, "csv"): "4e4f9316345c52adb5609d29813329a257a8a9fe5f8d2a9e0864c2678bc58595",
+    ("sigma1", 16, "json"): "07d4cbebc14188664d2a447199491f6b7221f2dac9656bc9ce948015a69a1d9e",
+    ("sigma1", 16, "csv"): "f18dc0c966b66a40260e0a8a64120f51b3c58c62af3716a0689c5f5f45aa9905",
+    ("sigma3", 2, "json"): "1482e40720362a3b402d1c3e85838937607568c503f54f40ad0776122e4d7fad",
+    ("sigma3", 2, "csv"): "fdc0fae4f8053a300c9b4590ccc28c5589b8c64ee800540711a2226abc2b6b3c",
+    ("sigma3", 5, "json"): "c0dddc01f81bb77fccb5e94b56d629291782f3d09b54177a84f97c7ab32266ea",
+    ("sigma3", 5, "csv"): "e3d3f5d74cf9fa963a9ddc2869ae614c50f6a26fb0650d27613ea554a5272b33",
+    ("sigma3", 16, "json"): "a135f3506e7f5c9ffc73681d91f524763922ede610d31cd0c6fade17680a43f5",
+    ("sigma3", 16, "csv"): "a5c9115461b80231489263b354b1c79f2ce3a24853b4289664bb4f1c93adcd54",
+    ("swap", 2, "json"): "097a2c0cab029b507abb5eb401da7b1c56ac669a3b4c0c01e3999ac920661770",
+    ("swap", 2, "csv"): "53eacb2d53a4af2b70168d800857aa99aa774065778a123dd12f3eb94609f7d7",
+    ("swap", 5, "json"): "0915665dfef5343b305afc2b111a0c69261911e3223a7cf27e8fd4cc3a5a442b",
+    ("swap", 5, "csv"): "a37824a771bd9be0c0f8b092c757b7acd6082cb836e2ebb79ac7edcba53feafa",
+    ("swap", 16, "json"): "e555bb50bb0e6197d52259693878c34c1d4f50a3172afb770dd8d43292e775d1",
+    ("swap", 16, "csv"): "fb30aebc480a5b78e150892cc2cd4a848cdfa1857b909f616734d5a28f71ec8a",
+    ("swap-composed", 2, "json"): "05f678b2ec0612966e554d311d082ef9d6f1236a25b326f7aa00d30567af40ae",
+    ("swap-composed", 2, "csv"): "53eacb2d53a4af2b70168d800857aa99aa774065778a123dd12f3eb94609f7d7",
+    ("swap-composed", 5, "json"): "c88e6966d879b6ff552d1c51aff7709440c7c182d916c113d801ccfd490758dd",
+    ("swap-composed", 5, "csv"): "a37824a771bd9be0c0f8b092c757b7acd6082cb836e2ebb79ac7edcba53feafa",
+    ("swap-composed", 16, "json"): "3b81d55d0151bde1b36217b579b8467ba07a1d794ceeea18cfcc89782141ab06",
+    ("swap-composed", 16, "csv"): "fb30aebc480a5b78e150892cc2cd4a848cdfa1857b909f616734d5a28f71ec8a",
+}
+
+
+@pytest.mark.parametrize("name,d,fmt", sorted(GATE_DUMP_SHA256))
+def test_gate_output_bytes_are_pinned(name, d, fmt, capsys):
+    code, out, _ = run_cli(capsys, "gate", "--name", name, "--d", str(d), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GATE_DUMP_SHA256[name, d, fmt]
 
 
 def test_gate_writes_file(tmp_path, capsys):

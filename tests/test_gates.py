@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quswap import core, gates
 
@@ -156,9 +158,25 @@ def test_swap_conjugation_swaps_tensor_factors():
     assert core.max_abs(s @ core.tensor_op(a, b) @ s - core.tensor_op(b, a)) <= 1e-12
 
 
-@pytest.mark.parametrize("d", range(2, 17))
+@pytest.mark.parametrize("d", [*range(2, 17), 64])  # 64 is the largest d the CLI accepts
 def test_swap_composed_equals_direct(d):
     assert np.array_equal(gates.swap_composed(d).matrix, gates.swap_direct(d).matrix)
+
+
+def dense_six_factor_product(d):
+    # oracle: C_Sigma (K x 1) C~_Sigma (K x 1) C_Sigma (1 x K) as dense
+    # matrix products of the built gates, rightmost factor first
+    cs = gates.controlled_shift(d).matrix
+    csr = gates.controlled_shift_reversed(d).matrix
+    k = gates.reverse_gate(d).matrix
+    eye = np.eye(d)
+    k1 = core.tensor_op(k, eye)
+    return cs @ k1 @ csr @ k1 @ cs @ core.tensor_op(eye, k)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_swap_composed_matches_dense_six_factor_product(d):
+    assert np.array_equal(gates.swap_composed(d).matrix, dense_six_factor_product(d))
 
 
 def test_swap_composed_reduces_to_three_cnots_at_d2():
@@ -254,6 +272,35 @@ def test_permutation_structure(builder, d):
     assert np.all((m == 0) | (m == 1))
     assert np.all(m.sum(axis=0) == 1)
     assert np.all(m.sum(axis=1) == 1)
+
+
+@st.composite
+def level_and_digits(draw):
+    d = draw(st.integers(2, 24))
+    return d, draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(level_and_digits())
+def test_permutation_gates_map_basis_states_by_definition(dab):
+    d, a, b = dab
+
+    def ket(*digits):
+        out = np.ones(1, dtype=complex)
+        for x in digits:
+            out = core.tensor_state(out, core.basis_state(x, d))
+        return out
+
+    cases = [
+        (gates.sigma1, ket(a), ket((a + 1) % d)),
+        (gates.reverse_gate, ket(a), ket((d - a) % d)),
+        (gates.controlled_shift, ket(a, b), ket(a, (a + b) % d)),
+        (gates.controlled_shift_reversed, ket(a, b), ket((a + b) % d, b)),
+        (gates.swap_direct, ket(a, b), ket(b, a)),
+        (gates.swap_composed, ket(a, b), ket(b, a)),
+    ]
+    for builder, inp, want in cases:
+        assert np.array_equal(builder(d).apply(inp), want), builder.__name__
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
