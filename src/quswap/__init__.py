@@ -9,107 +9,12 @@ oracle. ``verify`` packages the identity checks behind the ``quswap``
 command line.
 """
 
-from .core import (
-    QuditDim,
-    adjoint,
-    basis_state,
-    commutator,
-    fidelity,
-    is_unitary,
-    mat_exp,
-    matmul,
-    matpow,
-    max_abs,
-    mod_add,
-    tensor_op,
-    tensor_state,
-)
-from .fock import (
-    BeamsplitterParam,
-    FockCutoff,
-    ModeOperator,
-    TruncationWarning,
-    annihilation,
-    beamsplitter,
-    beamsplitter_blockwise,
-    coherent_state,
-    coherent_truncation_weight,
-    creation,
-    displacement,
-    exchange_protocol,
-    imperfect_clone_closed_form,
-    imperfect_clone_numeric,
-    level_projector,
-    mode2_marginal,
-    number,
-    phase_op,
-    schwinger_su2,
-    squeeze,
-    su11_generators,
-    total_number_projector,
-)
-from .gates import (
-    QuditGate,
-    conjugated_controlled_unitary,
-    controlled_shift,
-    controlled_shift_reversed,
-    controlled_unitary,
-    reverse_gate,
-    sigma1,
-    sigma3,
-    swap_composed,
-    swap_direct,
-)
+from . import core, fock, gates
+from .core import *
+from .fock import *
+from .gates import *
 from .verify import VerificationReport, run_suite
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BeamsplitterParam",
-    "FockCutoff",
-    "ModeOperator",
-    "QuditDim",
-    "QuditGate",
-    "TruncationWarning",
-    "VerificationReport",
-    "adjoint",
-    "annihilation",
-    "basis_state",
-    "beamsplitter",
-    "beamsplitter_blockwise",
-    "coherent_state",
-    "coherent_truncation_weight",
-    "commutator",
-    "conjugated_controlled_unitary",
-    "controlled_shift",
-    "controlled_shift_reversed",
-    "controlled_unitary",
-    "creation",
-    "displacement",
-    "exchange_protocol",
-    "fidelity",
-    "imperfect_clone_closed_form",
-    "imperfect_clone_numeric",
-    "is_unitary",
-    "level_projector",
-    "mat_exp",
-    "matmul",
-    "matpow",
-    "max_abs",
-    "mod_add",
-    "mode2_marginal",
-    "number",
-    "phase_op",
-    "reverse_gate",
-    "run_suite",
-    "schwinger_su2",
-    "sigma1",
-    "sigma3",
-    "squeeze",
-    "su11_generators",
-    "swap_composed",
-    "swap_direct",
-    "tensor_op",
-    "tensor_state",
-    "total_number_projector",
-]
+__all__ = sorted(core.__all__ + fock.__all__ + gates.__all__ + ["VerificationReport", "run_suite"])

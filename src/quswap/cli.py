@@ -17,15 +17,14 @@ reports.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage or input errors, including a ValueError raised by the library on
-an invalid input and a malformed ``QUSWAP_TOL``.
+an invalid input, a malformed ``QUSWAP_TOL`` and an ``--out`` path that
+cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import csv
-import io
 import json
 import math
 import re
@@ -81,17 +80,10 @@ def complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _entries(a: np.ndarray) -> list[list[float]]:
-    """Row-major [re, im] pairs of a complex array, as Python floats."""
-    return np.ascontiguousarray(a, dtype=complex).view(np.float64).reshape(-1, 2).tolist()
-
-
-def matrix_payload(m: np.ndarray) -> dict:
-    return {"dim": int(np.shape(m)[0]), "entries": _entries(m)}
-
-
-def vector_payload(v: np.ndarray) -> dict:
-    return {"dim": int(np.shape(v)[0]), "entries": _entries(v)}
+def array_payload(a: np.ndarray) -> dict:
+    """``{"dim": n, "entries": [[re, im], ...]}`` of a complex matrix or vector, row-major."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    return {"dim": a.shape[0], "entries": a.view(np.float64).reshape(-1, 2).tolist()}
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -103,11 +95,11 @@ def _write(text: str, out_path: str | None) -> None:
 
 
 def _matrix_csv(m: np.ndarray) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in np.asarray(m, dtype=complex):
-        writer.writerow([f"{z.real:.17g}{z.imag:+.17g}i" for z in row])
-    return buf.getvalue()
+    """One line of ``re+imi`` fields per row; no field can hold a comma, quote or newline."""
+    return "".join(
+        ",".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row.tolist()) + "\n"
+        for row in np.asarray(m, dtype=complex)
+    )
 
 
 def cmd_gate(args: argparse.Namespace) -> int:
@@ -116,7 +108,7 @@ def cmd_gate(args: argparse.Namespace) -> int:
         return 2
     gate = GATE_BUILDERS[args.name](args.d)
     if args.format == "json":
-        payload = {"gate": gate.label, "d": gate.d, **matrix_payload(gate.matrix)}
+        payload = {"gate": gate.label, "d": gate.d, **array_payload(gate.matrix)}
         _write(json.dumps(payload) + "\n", args.out)
     else:
         _write(_matrix_csv(gate.matrix), args.out)
@@ -235,15 +227,14 @@ def cmd_clone(args: argparse.Namespace) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", fock.TruncationWarning)
         numeric = fock.imperfect_clone_numeric(x, args.t_abs, n_max)
-    closed = fock.imperfect_clone_closed_form(
-        np.pad(x, (0, n_max + 1 - len(x))), args.t_abs, n_max)
+    closed = fock.imperfect_clone_closed_form(x, args.t_abs, n_max)
     payload = {
         **source,
         "t_abs": args.t_abs,
         "n_max": n_max,
         "oracle_fidelity": fidelity(closed, numeric),
-        "numeric": vector_payload(numeric),
-        "closed_form": vector_payload(closed),
+        "numeric": array_payload(numeric),
+        "closed_form": array_payload(closed),
     }
     _write(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
@@ -295,8 +286,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         # invalid input found by the library (coherent underflow, QUSWAP_TOL, ...)
+        # or an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

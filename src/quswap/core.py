@@ -50,10 +50,7 @@ class QuditDim:
 
 def _levels(d) -> int:
     """Accept either a bare int or a QuditDim and return the level count."""
-    n = d.d if isinstance(d, QuditDim) else int(d)
-    if n < 2:
-        raise ValueError(f"qudit dimension must be >= 2, got {n}")
-    return n
+    return (d if isinstance(d, QuditDim) else QuditDim(int(d))).d
 
 
 def _as_square(a) -> np.ndarray:

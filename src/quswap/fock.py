@@ -30,6 +30,7 @@ for the matrix route.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -96,10 +97,11 @@ def _cutoff(c) -> FockCutoff:
 class ModeOperator:
     """A labeled operator on the truncated one- or two-mode space.
 
-    Built from a dense matrix, or, for the two-mode operators that conserve
-    total photon number, from their blocks of fixed total (see
-    ``_from_blocks``): those apply block by block and assemble ``matrix``
-    on its first read.
+    Kept as (indices, block) pairs whose index arrays partition the basis.
+    A dense matrix becomes one block over every index; the two-mode
+    operators that conserve total photon number keep one block per total
+    (see ``_from_blocks``). ``apply`` multiplies a state block by block,
+    and ``matrix`` is assembled from the blocks on each read.
     """
 
     def __init__(self, cutoff: FockCutoff, matrix, label: str) -> None:
@@ -111,8 +113,7 @@ class ModeOperator:
             )
         self.cutoff = cutoff
         self.label = label
-        self._matrix = m
-        self._blocks = None
+        self._blocks = [(np.arange(len(m)), m)]
 
     @classmethod
     def _from_blocks(cls, cutoff: FockCutoff, blocks, label: str) -> ModeOperator:
@@ -120,27 +121,22 @@ class ModeOperator:
         op = cls.__new__(cls)
         op.cutoff = cutoff
         op.label = label
-        op._matrix = None
         op._blocks = blocks
         return op
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            m = np.zeros((self.cutoff.dim2, self.cutoff.dim2), dtype=complex)
-            for idx, block in self._blocks:
-                m[np.ix_(idx, idx)] = block
-            self._matrix = m
-        return self._matrix
+        m = np.zeros((self.dim, self.dim), dtype=complex)
+        for idx, block in self._blocks:
+            m[np.ix_(idx, idx)] = block
+        return m
 
     @property
     def dim(self) -> int:
-        return self.cutoff.dim2 if self._matrix is None else self._matrix.shape[0]
+        return sum(len(idx) for idx, _ in self._blocks)
 
     def apply(self, state) -> np.ndarray:
         state = np.asarray(state, dtype=complex)
-        if self._blocks is None:
-            return self._matrix @ state
         if state.shape[:1] != (self.dim,):
             raise ValueError(f"state of shape {state.shape} does not fit dimension {self.dim}")
         out = np.empty_like(state)
@@ -212,10 +208,13 @@ def coherent_state(z: complex, cutoff) -> np.ndarray:
 
     Renormalized to unit norm after truncation. Warns (TruncationWarning)
     when |z|^2 exceeds n_max/4 or when the discarded tail weight exceeds
-    1e-8; use ``coherent_truncation_weight`` to inspect the tail.
+    1e-8; use ``coherent_truncation_weight`` to inspect the tail. A
+    non-finite z raises ValueError.
     """
     c = _cutoff(cutoff)
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"coherent parameter must be finite, got {z}")
     weight = coherent_truncation_weight(z, c)
     if abs(z) ** 2 > c.n_max / 4 or weight > 1e-8:
         warnings.warn(
@@ -340,8 +339,8 @@ def beamsplitter(t, cutoff) -> ModeOperator:
     sqrt((j - m)(j + m + 1)) = sqrt((n1 + 1) n2). Each block is
     exponentiated through the spectrum of its real tridiagonal generator
     (``_number_block``), ``apply`` multiplies the state block by block, and
-    the dense ``matrix`` is assembled only when it is read. Blocks with
-    n > n_max keep only occupations within the cutoff, exactly as the
+    the dense ``matrix`` is assembled from the blocks on each read. Blocks
+    with n > n_max keep only occupations within the cutoff, exactly as the
     truncated two-mode generator does: on blocks of total number <= n_max
     the operator agrees with the untruncated one, higher blocks are
     distorted but still unitary.

@@ -344,6 +344,19 @@ def test_invalid_library_input_exits_2(env, argv, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
+    ["gate", "--name", "swap", "--d", "2"],
+    ["verify", "--suite", "qudit", "--d-max", "2"],
+], ids=["gate", "verify"])
+def test_unwritable_out_path_exits_2(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["exchange", "--z1", "0.1", "--z2", "0", "--n-max", "65"],
     ["clone", "--z", "0.1", "--t-abs", "0.5", "--n-max", "65"],
 ])

@@ -126,6 +126,12 @@ def test_coherent_warns_beyond_adequacy():
         fock.coherent_state(2.0, 4)
 
 
+@pytest.mark.parametrize("z", [float("nan"), float("inf"), complex(0.5, float("-inf"))])
+def test_coherent_rejects_non_finite_parameter(z):
+    with pytest.raises(ValueError, match="finite"):
+        fock.coherent_state(z, 4)
+
+
 def test_truncation_weight_matches_poisson_tail():
     z, n_max = 1.3, 6
     lam = abs(z) ** 2
@@ -317,12 +323,14 @@ def test_clone_numeric_matches_dense_oracle(n_max):
 @pytest.mark.parametrize("build", [
     lambda n_max: fock.beamsplitter(rand_t(70 + n_max), n_max),
     lambda n_max: fock.exchange_protocol(0.3 * n_max, n_max),
-], ids=["beamsplitter", "exchange"])
+    lambda n_max: fock.annihilation(n_max),
+    lambda n_max: fock.phase_op(0.3 * n_max, 2, n_max),
+], ids=["beamsplitter", "exchange", "annihilation", "phase"])
 def test_block_apply_matches_matrix(build, n_max):
     op = build(n_max)
     rng = np.random.default_rng(80 + n_max)
     v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-    got = op.apply(v)  # before .matrix is first read
+    got = op.apply(v)
     assert core.max_abs(got - op.matrix @ v) <= 1e-13
     with pytest.raises(ValueError):
         op.apply(v[:-1])
