@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import json
 import math
 import re
@@ -47,6 +48,9 @@ GATE_BUILDERS = {
     "swap": gates.swap_direct,
     "swap-composed": gates.swap_composed,
 }
+
+# inclusive bounds of the integer size flags, checked before anything is built
+BOUNDS = {"d": (2, 64), "d_max": (2, 16), "n_max": (1, 64)}
 
 _ANGLE_RE = re.compile(r"^(-?)pi(?:/(\d+(?:\.\d*)?))?$")
 
@@ -86,14 +90,6 @@ def array_payload(a: np.ndarray) -> dict:
     return {"dim": a.shape[0], "entries": a.view(np.float64).reshape(-1, 2).tolist()}
 
 
-def _write(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _matrix_csv(m: np.ndarray) -> str:
     """One line of ``re+imi`` fields per row; no field can hold a comma, quote or newline."""
     return "".join(
@@ -102,33 +98,14 @@ def _matrix_csv(m: np.ndarray) -> str:
     )
 
 
-def cmd_gate(args: argparse.Namespace) -> int:
-    if not (2 <= args.d <= 64):
-        print(f"error: d must be in 2..64, got {args.d}", file=sys.stderr)
-        return 2
+def cmd_gate(args: argparse.Namespace) -> tuple[str, int]:
     gate = GATE_BUILDERS[args.name](args.d)
-    if args.format == "json":
-        payload = {"gate": gate.label, "d": gate.d, **array_payload(gate.matrix)}
-        _write(json.dumps(payload) + "\n", args.out)
-    else:
-        _write(_matrix_csv(gate.matrix), args.out)
-    return 0
+    if args.format == "csv":
+        return _matrix_csv(gate.matrix), 0
+    return json.dumps({"gate": gate.label, "d": gate.d, **array_payload(gate.matrix)}) + "\n", 0
 
 
-def _n_max_in_range(n_max: int) -> bool:
-    """Report a cutoff outside 1..64 on stderr; checked before anything is built."""
-    if 1 <= n_max <= 64:
-        return True
-    print(f"error: --n-max must be in 1..64, got {n_max}", file=sys.stderr)
-    return False
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    if not (2 <= args.d_max <= 16):
-        print(f"error: --d-max must be in 2..16, got {args.d_max}", file=sys.stderr)
-        return 2
-    if not _n_max_in_range(args.n_max):
-        return 2
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     verify.analytic_tol()  # reject a malformed QUSWAP_TOL before any check runs
     reports = verify.run_suite(args.suite, d_max=args.d_max, n_max=args.n_max)
     all_passed = all(r.passed for r in reports)
@@ -139,18 +116,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "all_passed": all_passed,
         "reports": [r.to_dict() for r in reports],
     }
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0 if all_passed else 1
+    return payload, 0 if all_passed else 1
 
 
-def cmd_exchange(args: argparse.Namespace) -> int:
+def cmd_exchange(args: argparse.Namespace) -> tuple[dict, int]:
     n_max = args.n_max
-    if not _n_max_in_range(n_max):
-        return 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", fock.TruncationWarning)
-        state1 = fock.coherent_state(args.z1, n_max)
-        state2 = fock.coherent_state(args.z2, n_max)
+    state1 = fock.coherent_state(args.z1, n_max)
+    state2 = fock.coherent_state(args.z2, n_max)
     advisory = math.sqrt(n_max) / 4
     for label, z in (("z1", args.z1), ("z2", args.z2)):
         if abs(z) > advisory:
@@ -171,8 +143,7 @@ def cmd_exchange(args: argparse.Namespace) -> int:
         # broken protocol
         "non_discriminating": args.z1 == args.z2,
     }
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    return payload, 0
 
 
 def _load_coefficients(path: str, dim: int) -> np.ndarray:
@@ -183,7 +154,10 @@ def _load_coefficients(path: str, dim: int) -> np.ndarray:
     def _num(value) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"not a number: {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError("integer out of float range") from None
 
     coeffs = np.zeros(len(raw), dtype=complex)
     for i, item in enumerate(raw):
@@ -198,35 +172,26 @@ def _load_coefficients(path: str, dim: int) -> np.ndarray:
     return coeffs
 
 
-def cmd_clone(args: argparse.Namespace) -> int:
+def cmd_clone(args: argparse.Namespace) -> tuple[dict, int]:
     n_max = args.n_max
-    if not _n_max_in_range(n_max):
-        return 2
     if (args.input is None) == (args.z is None):
-        print("error: provide exactly one of --input or --z", file=sys.stderr)
-        return 2
+        raise ValueError("provide exactly one of --input or --z")
     if args.z is not None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", fock.TruncationWarning)
-            x = fock.coherent_state(args.z, n_max)
+        x = fock.coherent_state(args.z, n_max)
         source = {"coherent_z": complex_pair(args.z)}
     else:
         try:
             x = _load_coefficients(args.input, n_max + 1)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read coefficient file: {exc}", file=sys.stderr)
-            return 2
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read coefficient file: {exc}") from exc
         norm = float(np.linalg.norm(x))
         if abs(norm - 1.0) > 1e-12:
             if norm == 0.0:
-                print("error: coefficient vector is zero", file=sys.stderr)
-                return 2
+                raise ValueError("coefficient vector is zero")
             print(f"warning: input norm {norm:.6g} != 1; renormalizing", file=sys.stderr)
             x = x / norm
         source = {"coefficient_file": args.input}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", fock.TruncationWarning)
-        numeric = fock.imperfect_clone_numeric(x, args.t_abs, n_max)
+    numeric = fock.imperfect_clone_numeric(x, args.t_abs, n_max)
     closed = fock.imperfect_clone_closed_form(x, args.t_abs, n_max)
     payload = {
         **source,
@@ -236,8 +201,7 @@ def cmd_clone(args: argparse.Namespace) -> int:
         "numeric": array_payload(numeric),
         "closed_form": array_payload(closed),
     }
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    return payload, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,44 +215,51 @@ def build_parser() -> argparse.ArgumentParser:
     p_gate.add_argument("--name", required=True, choices=sorted(GATE_BUILDERS))
     p_gate.add_argument("--d", type=int, required=True, help="levels per qudit (2..64)")
     p_gate.add_argument("--format", choices=("json", "csv"), default="json")
-    p_gate.add_argument("--out", help="write to file instead of stdout")
-    p_gate.set_defaults(func=cmd_gate)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     p_verify.add_argument("--suite", choices=("qudit", "fock", "all"), default="all")
-    p_verify.add_argument("--d-max", type=int, default=8, help="largest qudit dim (<=16)")
-    p_verify.add_argument("--n-max", type=int, default=32, help="Fock cutoff (<=64)")
-    p_verify.add_argument("--out", help="write to file instead of stdout")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.add_argument("--d-max", type=int, default=8, help="largest qudit dim (2..16)")
 
     p_exch = sub.add_parser("exchange", help="swap two coherent states")
     p_exch.add_argument("--z1", type=parse_complex, required=True)
     p_exch.add_argument("--z2", type=parse_complex, required=True)
     p_exch.add_argument("--theta", type=parse_angle, default=0.0,
                         help="beamsplitter phase (radians; accepts pi, pi/2, ...)")
-    p_exch.add_argument("--n-max", type=int, default=32, help="Fock cutoff (1..64)")
-    p_exch.add_argument("--out", help="write to file instead of stdout")
-    p_exch.set_defaults(func=cmd_exchange)
 
     p_clone = sub.add_parser("clone", help="split a one-mode state across two modes")
     p_clone.add_argument("--input", help="JSON file of coefficients ([re, im] pairs or numbers)")
     p_clone.add_argument("--z", type=parse_complex, help="coherent input parameter")
     p_clone.add_argument("--t-abs", type=parse_angle, required=True,
                          help="beamsplitter strength |t| (radians; accepts pi/4, ...)")
-    p_clone.add_argument("--n-max", type=int, default=32, help="Fock cutoff (1..64)")
-    p_clone.add_argument("--out", help="write to file instead of stdout")
-    p_clone.set_defaults(func=cmd_clone)
 
+    for p, func in ((p_gate, cmd_gate), (p_verify, cmd_verify),
+                    (p_exch, cmd_exchange), (p_clone, cmd_clone)):
+        if p is not p_gate:
+            p.add_argument("--n-max", type=int, default=32, help="Fock cutoff (1..64)")
+        p.add_argument("--out", help="write to file instead of stdout")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # resource bounds are checked before anything is built
+        for key, (lo, hi) in BOUNDS.items():
+            value = getattr(args, key, None)
+            if value is not None and not lo <= value <= hi:
+                raise ValueError(f"--{key.replace('_', '-')} must be in {lo}..{hi}, got {value}")
+        # --out is opened before the command runs, as shell redirection would be
+        with (open(args.out, "w", encoding="utf-8") if args.out
+              else contextlib.nullcontext(sys.stdout)) as out, warnings.catch_warnings():
+            warnings.simplefilter("ignore", fock.TruncationWarning)
+            payload, code = args.func(args)
+            out.write(payload if isinstance(payload, str)
+                      else json.dumps(payload, indent=2) + "\n")
+        return code
     except (OSError, ValueError) as exc:
-        # invalid input found by the library (coherent underflow, QUSWAP_TOL, ...)
-        # or an --out path that cannot be written
+        # an out-of-range bound, invalid input found by the library (coherent
+        # underflow, QUSWAP_TOL, ...) or an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -197,10 +197,14 @@ def coherent_truncation_weight(z: complex, cutoff) -> float:
 
     Computed as a Poisson tail, the regularized lower incomplete gamma
     function P(n_max + 1, |z|^2), so that tiny weights are not lost to
-    cancellation.
+    cancellation. Raises ValueError when |z|^2 overflows a float.
     """
     c = _cutoff(cutoff)
-    return float(gammainc(c.n_max + 1, abs(z) ** 2))
+    try:
+        mean = abs(z) ** 2
+    except OverflowError:
+        raise ValueError(f"|z|^2 overflows a float for z={z}") from None
+    return float(gammainc(c.n_max + 1, mean))
 
 
 def coherent_state(z: complex, cutoff) -> np.ndarray:
@@ -208,8 +212,8 @@ def coherent_state(z: complex, cutoff) -> np.ndarray:
 
     Renormalized to unit norm after truncation. Warns (TruncationWarning)
     when |z|^2 exceeds n_max/4 or when the discarded tail weight exceeds
-    1e-8; use ``coherent_truncation_weight`` to inspect the tail. A
-    non-finite z raises ValueError.
+    1e-8; use ``coherent_truncation_weight`` to inspect the tail. A z that
+    is not finite, or whose |z|^2 overflows a float, raises ValueError.
     """
     c = _cutoff(cutoff)
     z = complex(z)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quswap import cli
+
+
+# a JSON array holding one 400-digit integer, beyond float range
+HUGE_INTEGER_FILE = str(Path(__file__).parent / "data" / "huge_integer.json")
 
 
 def run_cli(capsys, *argv):
@@ -331,6 +336,9 @@ def test_non_finite_numbers_exit_2(argv, capsys):
         ({}, ["clone", "--z", "0.1", "--t-abs", "0.5", "--n-max", "0"]),
         ({}, ["exchange", "--z1", "40", "--z2", "0", "--n-max", "8"]),  # coherent underflow
         ({"QUSWAP_TOL": "abc"}, ["verify"]),
+        ({}, ["exchange", "--z1", "1e200", "--z2", "0", "--n-max", "8"]),  # |z|^2 overflows
+        ({}, ["clone", "--z", "1e200", "--t-abs", "0.5"]),
+        ({}, ["clone", "--input", HUGE_INTEGER_FILE, "--t-abs", "0.5"]),
     ],
 )
 def test_invalid_library_input_exits_2(env, argv, capsys, monkeypatch):
@@ -354,6 +362,37 @@ def test_unwritable_out_path_exits_2(argv, tmp_path, capsys):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert not path.exists()
+
+
+def test_verify_out_is_opened_before_the_suite_runs(tmp_path, capsys, monkeypatch):
+    def run_suite(*args, **kwargs):
+        pytest.fail("the suite ran although --out cannot be written")
+
+    monkeypatch.setattr(cli.verify, "run_suite", run_suite)
+    code, out, err = run_cli(capsys, "verify", "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_command_that_exits_2_leaves_out_file_empty(tmp_path, capsys):
+    path = tmp_path / "out.json"
+    code, _, _ = run_cli(capsys, "exchange", "--z1", "40", "--z2", "0", "--n-max", "8",
+                         "--out", str(path))
+    assert code == 2
+    assert path.read_text() == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gate", "--name", "swap", "--d", "1"], "--d must be in 2..64, got 1"),
+    (["verify", "--d-max", "1"], "--d-max must be in 2..16, got 1"),
+    (["clone", "--z", "0", "--t-abs", "0", "--n-max", "0"], "--n-max must be in 1..64, got 0"),
+])
+def test_bound_errors_name_their_flag(argv, message, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

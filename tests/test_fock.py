@@ -132,6 +132,15 @@ def test_coherent_rejects_non_finite_parameter(z):
         fock.coherent_state(z, 4)
 
 
+@pytest.mark.parametrize("z", [1e200, 1e200j, complex(1e308, 1e308)])
+def test_coherent_rejects_parameter_whose_square_overflows(z):
+    # finite, but |z|^2 is beyond float range
+    with pytest.raises(ValueError, match="overflows"):
+        fock.coherent_state(z, 8)
+    with pytest.raises(ValueError, match="overflows"):
+        fock.coherent_truncation_weight(z, 8)
+
+
 def test_truncation_weight_matches_poisson_tail():
     z, n_max = 1.3, 6
     lam = abs(z) ** 2

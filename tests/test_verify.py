@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from quswap import verify
+from quswap import fock, verify
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +89,41 @@ def test_analytic_tol_rejects_invalid_env(monkeypatch, raw):
     monkeypatch.setenv("QUSWAP_TOL", raw)
     with pytest.raises(ValueError, match="QUSWAP_TOL"):
         verify.analytic_tol()
+
+
+def test_suites_run_their_checks_in_registration_order():
+    assert [r.check for r in verify.qudit_checks(2)] == [
+        "weyl-commutation", "shift-adjoint-power", "clock-adjoint-power",
+        "swap-decomposition", "swap-conjugation", "basis-cloning", "permutation-structure",
+    ]
+    assert [r.check for r in verify.fock_checks(4)] == [
+        "ladder-commutators", "number-basis-orthonormality",
+        "beamsplitter-number-conservation", "exchange-convergence",
+        "clone-closed-form-norm", "clone-oracle-equivalence", "clone-coherent-marginal",
+    ]
+
+
+def test_number_conservation_check_never_builds_the_dense_matrix():
+    # the dense (65^2)-square beamsplitter alone would take 285 MB
+    tracemalloc.start()
+    try:
+        report = verify.check_beamsplitter_number_conservation(64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.metric == 0.0
+    assert peak < 50 * 2**20
+
+
+def test_number_conservation_check_fails_on_a_block_across_totals(monkeypatch):
+    n_max = 2
+    cut = fock.FockCutoff(n_max)
+    # |0,0> (total 0) and |0,1> (total 1) mixed by one unitary block
+    mixing = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    rest = np.arange(2, cut.dim2)
+    blocks = [(np.array([0, 1]), mixing), (rest, np.eye(len(rest)))]
+    monkeypatch.setattr(verify.fock, "beamsplitter", lambda t, cutoff: (
+        fock.ModeOperator._from_blocks(cut, blocks, "mixing")))
+    report = verify.check_beamsplitter_number_conservation(n_max)
+    assert report.passed is False
+    assert report.metric == pytest.approx(1 / np.sqrt(2))
