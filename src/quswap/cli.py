@@ -10,8 +10,8 @@ Subcommands:
 Complex numbers on the command line accept ``i`` or ``j`` suffixes
 (``--z2=-0.4+0.3i``); angles are radians, with ``pi`` and fractions such as
 ``pi/2`` accepted symbolically. Matrices and states are serialized as
-``{"dim": n, "entries": [[re, im], ...]}`` row-major; floats use Python's
-shortest round-trip representation (up to 17 significant digits). Output is
+``{"dim": n, "entries": [[re, im], ...]}`` row-major; JSON floats use Python's
+shortest round-trip form and CSV entries ``%.17g`` (17 digits). Output is
 deterministic byte-for-byte except for the wall-time fields in verification
 reports.
 
@@ -146,7 +146,8 @@ def cmd_exchange(args: argparse.Namespace) -> tuple[dict, int]:
     return payload, 0
 
 
-def _load_coefficients(path: str, dim: int) -> np.ndarray:
+def _load_coefficients(path: str, dim: int) -> tuple[np.ndarray, float]:
+    """The coefficient vector in ``path`` and its norm."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, list) or not raw:
@@ -167,9 +168,11 @@ def _load_coefficients(path: str, dim: int) -> np.ndarray:
             coeffs[i] = _num(item)
     if len(coeffs) > dim:
         raise ValueError(f"{len(coeffs)} coefficients exceed the cutoff dimension {dim}")
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("coefficients must be finite")
-    return coeffs
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(coeffs))
+    if not math.isfinite(norm):  # a non-finite entry, or a sum of squares that overflows
+        raise ValueError("coefficients and their norm must be finite")
+    return coeffs, norm
 
 
 def cmd_clone(args: argparse.Namespace) -> tuple[dict, int]:
@@ -181,10 +184,9 @@ def cmd_clone(args: argparse.Namespace) -> tuple[dict, int]:
         source = {"coherent_z": complex_pair(args.z)}
     else:
         try:
-            x = _load_coefficients(args.input, n_max + 1)
+            x, norm = _load_coefficients(args.input, n_max + 1)
         except (OSError, ValueError) as exc:
-            raise ValueError(f"cannot read coefficient file: {exc}") from exc
-        norm = float(np.linalg.norm(x))
+            raise ValueError(f"cannot read coefficient file {args.input}: {exc}") from exc
         if abs(norm - 1.0) > 1e-12:
             if norm == 0.0:
                 raise ValueError("coefficient vector is zero")

@@ -313,19 +313,21 @@ def schwinger_su2(cutoff) -> tuple[ModeOperator, ModeOperator, ModeOperator]:
     )
 
 
-def _number_block(n: int, c: FockCutoff) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spectrum of the beamsplitter generator on total photon number n.
+def _beamsplitter_block(n: int, c: FockCutoff,
+                        p: BeamsplitterParam) -> tuple[np.ndarray, np.ndarray]:
+    """Block of U_J(t) on total photon number n, as (indices, block).
 
-    Returns the first-mode occupations n1 that the cutoff keeps in block n,
-    in rising order, and the eigenpairs R = v diag(w) v^T of the real
-    symmetric tridiagonal R with off-diagonal sqrt((n1 + 1)(n - n1)), the
-    matrix elements of a1^dag a2 within the block. On that block the
-    generator t a1^dag a2 - conj(t) a2^dag a1 equals -i|t| P R P* with
-    P = diag(e^(i(theta + pi/2) n1)), so U_J(t) = P v e^(-i|t| w) v^T P*.
+    The block spans the first-mode occupations n1 that the cutoff keeps, in
+    rising order. There the generator t a1^dag a2 - conj(t) a2^dag a1 equals
+    -i|t| P R P* with P = diag(e^(i(theta + pi/2) n1)) and R = v diag(w) v^T
+    the real tridiagonal matrix of a1^dag a2, off-diagonal
+    sqrt((n1 + 1)(n - n1)), so the block is P v e^(-i|t| w) v^T P*.
     """
     n1 = np.arange(max(0, n - c.n_max), min(n, c.n_max) + 1)
     w, v = eigh_tridiagonal(np.zeros(len(n1)), np.sqrt((n1[:-1] + 1) * (n - n1[:-1])))
-    return n1, w, v
+    phases = np.exp(1j * (p.phase + math.pi / 2) * n1)
+    rotation = (v * np.exp(-1j * p.modulus * w)) @ v.T
+    return n1 * c.dim + (n - n1), phases[:, None] * rotation * phases.conj()
 
 
 def beamsplitter(t, cutoff) -> ModeOperator:
@@ -340,23 +342,16 @@ def beamsplitter(t, cutoff) -> ModeOperator:
     Kept as its blocks of fixed total photon number n: block n carries the
     spin-(n/2) representation of su(2), in which, with m = n1 - n/2, the
     raising element a1^dag a2 has matrix elements
-    sqrt((j - m)(j + m + 1)) = sqrt((n1 + 1) n2). Each block is
-    exponentiated through the spectrum of its real tridiagonal generator
-    (``_number_block``), ``apply`` multiplies the state block by block, and
-    the dense ``matrix`` is assembled from the blocks on each read. Blocks
-    with n > n_max keep only occupations within the cutoff, exactly as the
-    truncated two-mode generator does: on blocks of total number <= n_max
-    the operator agrees with the untruncated one, higher blocks are
-    distorted but still unitary.
+    sqrt((j - m)(j + m + 1)) = sqrt((n1 + 1) n2), and is exponentiated
+    through the spectrum of its real tridiagonal generator
+    (``_beamsplitter_block``). Blocks with n > n_max keep only occupations
+    within the cutoff, exactly as the truncated two-mode generator does: on
+    blocks of total number <= n_max the operator agrees with the
+    untruncated one, higher blocks are distorted but still unitary.
     """
     c = _cutoff(cutoff)
     p = _param(t)
-    blocks = []
-    for n in range(2 * c.n_max + 1):
-        n1, w, v = _number_block(n, c)
-        phases = np.exp(1j * (p.phase + math.pi / 2) * n1)
-        rotation = (v * np.exp(-1j * p.modulus * w)) @ v.T
-        blocks.append((n1 * c.dim + (n - n1), phases[:, None] * rotation * phases.conj()))
+    blocks = [_beamsplitter_block(n, c, p) for n in range(2 * c.n_max + 1)]
     return ModeOperator._from_blocks(c, blocks, "beamsplitter")
 
 
@@ -371,7 +366,7 @@ def _phase_diagonal(theta: float, mode: int, c: FockCutoff) -> np.ndarray:
         raise ValueError(f"mode must be 1 or 2, got {mode}")
     phases = np.exp(1j * theta * np.arange(c.dim))
     ones = np.ones(c.dim)
-    return np.kron(phases, ones) if mode == 1 else np.kron(ones, phases)
+    return (np.outer(phases, ones) if mode == 1 else np.outer(ones, phases)).ravel()
 
 
 def phase_op(theta: float, mode: int, cutoff) -> ModeOperator:
@@ -406,9 +401,6 @@ def exchange_protocol(theta: float, cutoff) -> ModeOperator:
     return ModeOperator._from_blocks(c, blocks, "exchange")
 
 
-_I_POWERS = np.array([1, 1j, -1, -1j])  # i^k for k mod 4, exactly
-
-
 def imperfect_clone_numeric(x, t, cutoff) -> np.ndarray:
     """Split a one-mode state across two modes with a phase-corrected beamsplitter.
 
@@ -433,16 +425,12 @@ def imperfect_clone_numeric(x, t, cutoff) -> np.ndarray:
             stacklevel=2,
         )
     # x (x) |0> has its level-n amplitude on the last basis vector
-    # (n1 = n) of block n, so only that column of each occupied block is
-    # built. With P from ``_number_block`` the column is
-    # P v (e^(-i|t| w) * v[n]) P*_n; V2(theta + pi) multiplies the entry
-    # with n2 = n - n1 by e^(i(theta + pi) n2), which cancels theta and
-    # leaves the phase i^n2.
+    # (n1 = n) of block n, so only that column of each occupied block is used
+    v2 = _phase_diagonal(p.phase + math.pi, 2, c)
     out = np.zeros(c.dim2, dtype=complex)
     for n in np.flatnonzero(x):
-        n1, w, v = _number_block(n, c)
-        column = v @ (np.exp(-1j * p.modulus * w) * v[-1])
-        out[n1 * c.dim + (n - n1)] = x[n] * _I_POWERS[(n - n1) % 4] * column
+        idx, block = _beamsplitter_block(n, c, p)
+        out[idx] = x[n] * v2[idx] * block[:, -1]
     return out
 
 

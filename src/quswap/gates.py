@@ -21,8 +21,8 @@ every controlled-unitary gate, and whether it generates all of U(d^2).
 ``controlled_unitary`` is provided only as a building block for exploring
 them.
 
-Permutation gates are built from integer index maps and the six-gate product
-is composed on those maps, so identity checks on them hold exactly.
+Each permutation gate is built from one table of integer index maps, and the
+six-gate product composes the builders' own entries, so it holds exactly.
 """
 
 from __future__ import annotations
@@ -73,8 +73,31 @@ class QuditGate:
         return self.matrix @ np.asarray(state, dtype=complex)
 
 
-def _permutation(n: int, dest, label: str) -> QuditGate:
-    """The 0/1 gate on n-level qudits that sends basis index i to dest[i]."""
+def _index_map(n: int, label: str) -> np.ndarray:
+    """Index map of gate ``label`` on n-level qudits: basis index i (a*n + b) goes to map[i]."""
+    i = np.arange(n)
+    a, b, k = i[:, None], i, -i % n  # two-qudit maps broadcast to n x n, row-major
+    table = {  # each entry is built only when asked for
+        "sigma1": lambda: (i + 1) % n,
+        "k": lambda: k,
+        "cshift": lambda: a * n + (a + b) % n,
+        "cshift-rev": lambda: (a + b) % n * n + b,
+        "swap": lambda: b * n + a,
+        "k x 1": lambda: k[a] * n + b,
+        "1 x k": lambda: a * n + k[b],
+    }
+    m = lambda key: table[key]().ravel()  # noqa: E731
+    if label == "swap-composed":
+        # C_Sigma (K x 1) C~_Sigma (K x 1) C_Sigma (1 x K), rightmost factor first
+        cs, k1 = m("cshift"), m("k x 1")
+        return cs[k1[m("cshift-rev")[k1[cs[m("1 x k")]]]]]
+    return m(label)
+
+
+def _permutation(d, label: str) -> QuditGate:
+    """The 0/1 gate on d-level qudits that sends basis index i to map[i]."""
+    n = _levels(d)
+    dest = _index_map(n, label)
     dim = len(dest)
     m = np.zeros((dim, dim), dtype=complex)
     m[dest, np.arange(dim)] = 1.0
@@ -83,8 +106,7 @@ def _permutation(n: int, dest, label: str) -> QuditGate:
 
 def sigma1(d) -> QuditGate:
     """Cyclic shift: |a> -> |a+1 mod d>. Reduces to Pauli X at d=2."""
-    n = _levels(d)
-    return _permutation(n, (np.arange(n) + 1) % n, "sigma1")
+    return _permutation(d, "sigma1")
 
 
 def sigma3(d) -> QuditGate:
@@ -98,8 +120,7 @@ def reverse_gate(d) -> QuditGate:
 
     An involution; the identity at d=2.
     """
-    n = _levels(d)
-    return _permutation(n, -np.arange(n) % n, "k")
+    return _permutation(d, "k")
 
 
 def controlled_shift(d) -> QuditGate:
@@ -108,38 +129,28 @@ def controlled_shift(d) -> QuditGate:
     The first qudit controls, the second is the target; setting b=0 clones
     the computational basis. The d=2 case is controlled-NOT.
     """
-    n = _levels(d)
-    a, b = np.divmod(np.arange(n * n), n)
-    return _permutation(n, a * n + (a + b) % n, "cshift")
+    return _permutation(d, "cshift")
 
 
 def controlled_shift_reversed(d) -> QuditGate:
     """Controlled shift with the roles swapped: |a> (x) |b> -> |a+b> (x) |b>."""
-    n = _levels(d)
-    a, b = np.divmod(np.arange(n * n), n)
-    return _permutation(n, (a + b) % n * n + b, "cshift-rev")
+    return _permutation(d, "cshift-rev")
 
 
 def swap_direct(d) -> QuditGate:
     """Exchange gate from its definition: index a*d+b -> b*d+a."""
-    n = _levels(d)
-    a, b = np.divmod(np.arange(n * n), n)
-    return _permutation(n, b * n + a, "swap")
+    return _permutation(d, "swap")
 
 
 def swap_composed(d) -> QuditGate:
     """Exchange gate assembled from controlled shifts and reverse gates.
 
-    Composes the index maps of C_Sigma (K x 1) C~_Sigma (K x 1) C_Sigma (1 x K),
-    rightmost factor acting first, and builds the gate from the result. The
-    composition is integer arithmetic, so agreement with swap_direct is an
-    exact equality, not a floating-point one.
+    Composes the index maps that the other builders use into
+    C_Sigma (K x 1) C~_Sigma (K x 1) C_Sigma (1 x K), rightmost factor acting
+    first. The composition is integer arithmetic, so agreement with
+    swap_direct is an exact equality, not a floating-point one.
     """
-    n = _levels(d)
-    a, b = np.divmod(np.arange(n * n), n)
-    cs, csr = a * n + (a + b) % n, (a + b) % n * n + b  # the two controlled shifts
-    k1, k2 = -a % n * n + b, a * n + -b % n  # K x 1 and 1 x K
-    return _permutation(n, cs[k1[csr[k1[cs[k2]]]]], "swap-composed")
+    return _permutation(d, "swap-composed")
 
 
 def controlled_unitary(u, d=None) -> QuditGate:
@@ -168,9 +179,6 @@ def conjugated_controlled_unitary(u, d=None) -> QuditGate:
     S is a permutation and an involution, so the conjugation relabels rows
     and columns of C_U by the swap's index map.
     """
-    u = np.asarray(u, dtype=complex)
-    n = _levels(d) if d is not None else u.shape[0]
-    cu = controlled_unitary(u, n)
-    a, b = np.divmod(np.arange(n * n), n)
-    p = b * n + a  # the swap's index map
-    return QuditGate(n, cu.matrix[np.ix_(p, p)], "conjugated-controlled-unitary")
+    cu = controlled_unitary(u, d)
+    p = _index_map(cu.d, "swap")
+    return QuditGate(cu.d, cu.matrix[np.ix_(p, p)], "conjugated-controlled-unitary")

@@ -247,11 +247,11 @@ def check_exchange_convergence(n_max: int) -> tuple[dict, float]:
     """Exchange fidelity is non-decreasing in the cutoff for fixed coherent inputs."""
     ladder = [c for c in EXCHANGE_CUTOFF_LADDER if c <= n_max] or [n_max]
     pairs = [(0.7 + 0j, -0.4 + 0.3j), (1.0 + 0j, 0.5j)]
+    exchanges = {cut: fock.exchange_protocol(0.0, cut) for cut in ladder}
     violation = 0.0
     for z1, z2 in pairs:
         fids = []
-        for cut in ladder:
-            e = fock.exchange_protocol(0.0, cut)
+        for cut, e in exchanges.items():
             inp = core.tensor_state(fock.coherent_state(z1, cut), fock.coherent_state(z2, cut))
             tgt = core.tensor_state(fock.coherent_state(z2, cut), fock.coherent_state(z1, cut))
             fids.append(core.fidelity(tgt, e.apply(inp)))

@@ -13,6 +13,8 @@ from quswap import cli
 
 # a JSON array holding one 400-digit integer, beyond float range
 HUGE_INTEGER_FILE = str(Path(__file__).parent / "data" / "huge_integer.json")
+# [1e308, 1e308]: finite entries whose norm overflows a float
+OVERFLOWING_NORM_FILE = str(Path(__file__).parent / "data" / "overflowing_norm.json")
 
 
 def run_cli(capsys, *argv):
@@ -339,16 +341,21 @@ def test_non_finite_numbers_exit_2(argv, capsys):
         ({}, ["exchange", "--z1", "1e200", "--z2", "0", "--n-max", "8"]),  # |z|^2 overflows
         ({}, ["clone", "--z", "1e200", "--t-abs", "0.5"]),
         ({}, ["clone", "--input", HUGE_INTEGER_FILE, "--t-abs", "0.5"]),
+        ({}, ["clone", "--input", OVERFLOWING_NORM_FILE, "--t-abs", "0.3", "--n-max", "4"]),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_invalid_library_input_exits_2(env, argv, capsys, monkeypatch):
-    # a ValueError escaping main would fail this test as a traceback
+    # a ValueError escaping main would fail this test as a traceback, and so
+    # would a numpy RuntimeWarning, which prints lines of its own
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+    if "--input" in argv:
+        assert argv[argv.index("--input") + 1] in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,10 +1,12 @@
+import inspect
 import json
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
-from quswap import fock, verify
+from quswap import fock, gates, verify
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +129,38 @@ def test_number_conservation_check_fails_on_a_block_across_totals(monkeypatch):
     report = verify.check_beamsplitter_number_conservation(n_max)
     assert report.passed is False
     assert report.metric == pytest.approx(1 / np.sqrt(2))
+
+
+def _gates_with(old: str, new: str) -> types.ModuleType:
+    """A fresh copy of ``quswap.gates`` with ``old`` replaced by ``new`` in its source."""
+    source = inspect.getsource(gates)
+    assert source.count(old) == 1  # each index map is written down once
+    module = types.ModuleType(gates.__name__)
+    module.__package__ = "quswap"
+    exec(compile(source.replace(old, new), gates.__file__, "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("builder,old,new", [
+    ("controlled_shift", "a * n + (a + b) % n", "a * n + (a - b) % n"),
+    ("controlled_shift_reversed", "(a + b) % n * n + b", "(a - b) % n * n + b"),
+], ids=["cshift", "cshift-rev"])
+def test_swap_decomposition_fails_when_a_factor_gate_is_wrong(builder, old, new, monkeypatch):
+    # the factorization is composed from the maps the public builders use, so a
+    # wrong map changes the gate users get and fails the check
+    wrong = _gates_with(old, new)
+    assert not np.array_equal(getattr(wrong, builder)(5).matrix, getattr(gates, builder)(5).matrix)
+    monkeypatch.setattr(verify, "gates", wrong)
+    assert verify.check_swap_decomposition(5).passed is False
+
+
+def test_clone_check_fails_when_the_beamsplitter_blocks_are_wrong(monkeypatch):
+    # conjugating t flips theta in the block phases P; the clone reads the same
+    # blocks as the beamsplitter, so the oracle check must see it
+    t = 0.7 * np.exp(0.4j)
+    right = fock.beamsplitter(t, 4).matrix
+    block = fock._beamsplitter_block
+    monkeypatch.setattr(fock, "_beamsplitter_block",
+                        lambda n, c, p: block(n, c, fock.BeamsplitterParam(p.t.conjugate())))
+    assert not np.allclose(fock.beamsplitter(t, 4).matrix, right)
+    assert verify.check_clone_oracle_equivalence(8).passed is False
