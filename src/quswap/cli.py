@@ -13,7 +13,9 @@ Complex numbers on the command line accept ``i`` or ``j`` suffixes
 ``{"dim": n, "entries": [[re, im], ...]}`` row-major; JSON floats use Python's
 shortest round-trip form and CSV entries ``%.17g`` (17 digits). Output is
 deterministic byte-for-byte except for the wall-time fields in verification
-reports.
+reports. ``gate`` writes its dump row by row, so its peak memory is the dense
+d^2-square matrix plus one row (~330 MB at d = 64); the gate is built before
+the first write.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage or input errors, including a ValueError raised by the library on
@@ -26,11 +28,13 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import itertools
 import json
 import math
 import re
 import sys
 import warnings
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -51,6 +55,9 @@ GATE_BUILDERS = {
 
 # inclusive bounds of the integer size flags, checked before anything is built
 BOUNDS = {"d": (2, 64), "d_max": (2, 16), "n_max": (1, 64)}
+
+# a coefficient file whose norm is off 1 by more than this is renormalized
+_RENORMALIZE_TOL = 1e-12
 
 _ANGLE_RE = re.compile(r"^(-?)pi(?:/(\d+(?:\.\d*)?))?$")
 
@@ -90,19 +97,36 @@ def array_payload(a: np.ndarray) -> dict:
     return {"dim": a.shape[0], "entries": a.view(np.float64).reshape(-1, 2).tolist()}
 
 
-def _matrix_csv(m: np.ndarray) -> str:
-    """One line of ``re+imi`` fields per row; no field can hold a comma, quote or newline."""
-    return "".join(
-        ",".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row.tolist()) + "\n"
-        for row in np.asarray(m, dtype=complex)
-    )
+def _matrix_rows(m: np.ndarray, zero: str, entry) -> Iterator[list[str]]:
+    """Each row of ``m`` as text: ``zero`` where an entry's bits are +0.0, else ``entry(z)``.
+
+    The nonzero entries are found once from the bit pattern, so ``-0.0`` is
+    formatted rather than taken for zero; no list of all d^4 entries is built.
+    """
+    m = np.ascontiguousarray(m, dtype=complex)
+    n = m.shape[1]
+    rows, cols = np.nonzero(m.view(np.uint64).reshape(*m.shape, 2).any(axis=2))
+    bounds = np.searchsorted(rows, np.arange(m.shape[0] + 1)).tolist()
+    for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        fields = [zero] * n
+        row_cols = cols[start:stop]
+        for j, z in zip(row_cols.tolist(), m[i, row_cols].tolist()):
+            fields[j] = entry(z)
+        yield fields
 
 
-def cmd_gate(args: argparse.Namespace) -> tuple[str, int]:
+def cmd_gate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
+    """The dump as text chunks, one per matrix row; the gate is built before the first chunk."""
     gate = GATE_BUILDERS[args.name](args.d)
     if args.format == "csv":
-        return _matrix_csv(gate.matrix), 0
-    return json.dumps({"gate": gate.label, "d": gate.d, **array_payload(gate.matrix)}) + "\n", 0
+        rows = _matrix_rows(gate.matrix, "0+0i", lambda z: f"{z.real:.17g}{z.imag:+.17g}i")
+        return (",".join(fields) + "\n" for fields in rows), 0
+    # the JSON of ``array_payload``, written one row of entries at a time
+    header = json.dumps({"gate": gate.label, "d": gate.d, "dim": gate.matrix.shape[0],
+                         "entries": []})[:-2]
+    rows = _matrix_rows(gate.matrix, "[0.0, 0.0]", lambda z: f"[{z.real!r}, {z.imag!r}]")
+    chunks = ((", " if i else "") + ", ".join(fields) for i, fields in enumerate(rows))
+    return itertools.chain([header], chunks, ["]}\n"]), 0
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
@@ -147,7 +171,8 @@ def cmd_exchange(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _load_coefficients(path: str, dim: int) -> tuple[np.ndarray, float]:
-    """The coefficient vector in ``path`` and its norm."""
+    """The coefficient vector in ``path`` and its norm; the vector comes back
+    divided by its norm when that is nonzero and off 1 by more than ``_RENORMALIZE_TOL``."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, list) or not raw:
@@ -168,10 +193,19 @@ def _load_coefficients(path: str, dim: int) -> tuple[np.ndarray, float]:
             coeffs[i] = _num(item)
     if len(coeffs) > dim:
         raise ValueError(f"{len(coeffs)} coefficients exceed the cutoff dimension {dim}")
+    # entries below 1/2 are scaled up by a power of two, which is exact, so that
+    # their squares cannot underflow ([1e-200] has norm 1e-200); a sum of
+    # squares beyond float range still fails
+    parts = coeffs.view(np.float64)
+    exponent = min(0, math.frexp(float(np.max(np.abs(parts))))[1])
+    scaled = np.ldexp(parts, -exponent).view(complex)
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(coeffs))
-    if not math.isfinite(norm):  # a non-finite entry, or a sum of squares that overflows
+        scaled_norm = float(np.linalg.norm(scaled))
+    if not math.isfinite(scaled_norm):  # a non-finite entry, or a sum of squares that overflows
         raise ValueError("coefficients and their norm must be finite")
+    norm = math.ldexp(scaled_norm, exponent)
+    if norm != 0.0 and abs(norm - 1.0) > _RENORMALIZE_TOL:
+        coeffs = scaled / scaled_norm
     return coeffs, norm
 
 
@@ -187,11 +221,10 @@ def cmd_clone(args: argparse.Namespace) -> tuple[dict, int]:
             x, norm = _load_coefficients(args.input, n_max + 1)
         except (OSError, ValueError) as exc:
             raise ValueError(f"cannot read coefficient file {args.input}: {exc}") from exc
-        if abs(norm - 1.0) > 1e-12:
-            if norm == 0.0:
-                raise ValueError("coefficient vector is zero")
+        if norm == 0.0:
+            raise ValueError("coefficient vector is zero")
+        if abs(norm - 1.0) > _RENORMALIZE_TOL:
             print(f"warning: input norm {norm:.6g} != 1; renormalizing", file=sys.stderr)
-            x = x / norm
         source = {"coefficient_file": args.input}
     numeric = fock.imperfect_clone_numeric(x, args.t_abs, n_max)
     closed = fock.imperfect_clone_closed_form(x, args.t_abs, n_max)
@@ -256,8 +289,10 @@ def main(argv=None) -> int:
               else contextlib.nullcontext(sys.stdout)) as out, warnings.catch_warnings():
             warnings.simplefilter("ignore", fock.TruncationWarning)
             payload, code = args.func(args)
-            out.write(payload if isinstance(payload, str)
-                      else json.dumps(payload, indent=2) + "\n")
+            if isinstance(payload, dict):
+                out.write(json.dumps(payload, indent=2) + "\n")
+            else:
+                out.writelines(payload)
         return code
     except (OSError, ValueError) as exc:
         # an out-of-range bound, invalid input found by the library (coherent
