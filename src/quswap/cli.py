@@ -100,17 +100,13 @@ def array_payload(a: np.ndarray) -> dict:
 def _matrix_rows(m: np.ndarray, zero: str, entry) -> Iterator[list[str]]:
     """Each row of ``m`` as text: ``zero`` where an entry's bits are +0.0, else ``entry(z)``.
 
-    The nonzero entries are found once from the bit pattern, so ``-0.0`` is
+    Each row's nonzero entries are found from its bit pattern, so ``-0.0`` is
     formatted rather than taken for zero; no list of all d^4 entries is built.
     """
-    m = np.ascontiguousarray(m, dtype=complex)
-    n = m.shape[1]
-    rows, cols = np.nonzero(m.view(np.uint64).reshape(*m.shape, 2).any(axis=2))
-    bounds = np.searchsorted(rows, np.arange(m.shape[0] + 1)).tolist()
-    for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-        fields = [zero] * n
-        row_cols = cols[start:stop]
-        for j, z in zip(row_cols.tolist(), m[i, row_cols].tolist()):
+    for row in np.ascontiguousarray(m, dtype=complex):
+        fields = [zero] * len(row)
+        cols = np.flatnonzero(row.view(np.uint64).reshape(-1, 2).any(axis=1))
+        for j, z in zip(cols.tolist(), row[cols].tolist()):
             fields[j] = entry(z)
         yield fields
 
@@ -170,9 +166,9 @@ def cmd_exchange(args: argparse.Namespace) -> tuple[dict, int]:
     return payload, 0
 
 
-def _load_coefficients(path: str, dim: int) -> tuple[np.ndarray, float]:
-    """The coefficient vector in ``path`` and its norm; the vector comes back
-    divided by its norm when that is nonzero and off 1 by more than ``_RENORMALIZE_TOL``."""
+def _load_coefficients(path: str, dim: int) -> np.ndarray:
+    """The coefficient vector in ``path`` as a unit vector; a zero vector is rejected, and one
+    whose norm is off 1 by more than ``_RENORMALIZE_TOL`` is renormalized with a warning."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, list) or not raw:
@@ -204,9 +200,12 @@ def _load_coefficients(path: str, dim: int) -> tuple[np.ndarray, float]:
     if not math.isfinite(scaled_norm):  # a non-finite entry, or a sum of squares that overflows
         raise ValueError("coefficients and their norm must be finite")
     norm = math.ldexp(scaled_norm, exponent)
-    if norm != 0.0 and abs(norm - 1.0) > _RENORMALIZE_TOL:
-        coeffs = scaled / scaled_norm
-    return coeffs, norm
+    if norm == 0.0:
+        raise ValueError("coefficient vector is zero")
+    if abs(norm - 1.0) <= _RENORMALIZE_TOL:
+        return coeffs
+    print(f"warning: input norm {norm:.6g} != 1; renormalizing", file=sys.stderr)
+    return scaled / scaled_norm
 
 
 def cmd_clone(args: argparse.Namespace) -> tuple[dict, int]:
@@ -218,13 +217,9 @@ def cmd_clone(args: argparse.Namespace) -> tuple[dict, int]:
         source = {"coherent_z": complex_pair(args.z)}
     else:
         try:
-            x, norm = _load_coefficients(args.input, n_max + 1)
+            x = _load_coefficients(args.input, n_max + 1)
         except (OSError, ValueError) as exc:
             raise ValueError(f"cannot read coefficient file {args.input}: {exc}") from exc
-        if norm == 0.0:
-            raise ValueError("coefficient vector is zero")
-        if abs(norm - 1.0) > _RENORMALIZE_TOL:
-            print(f"warning: input norm {norm:.6g} != 1; renormalizing", file=sys.stderr)
         source = {"coefficient_file": args.input}
     numeric = fock.imperfect_clone_numeric(x, args.t_abs, n_max)
     closed = fock.imperfect_clone_closed_form(x, args.t_abs, n_max)

@@ -288,24 +288,19 @@ def squeeze(w: complex, cutoff) -> ModeOperator:
     return ModeOperator(c, mat_exp(w * kp.matrix - np.conj(w) * km.matrix), "squeeze")
 
 
-def _mode_ops(c: FockCutoff) -> tuple[np.ndarray, np.ndarray]:
-    """Two-mode annihilation pair a1 = a (x) 1, a2 = 1 (x) a."""
-    a = annihilation(c).matrix
-    eye = np.eye(c.dim)
-    return tensor_op(a, eye), tensor_op(eye, a)
-
-
 def schwinger_su2(cutoff) -> tuple[ModeOperator, ModeOperator, ModeOperator]:
     """Two-mode su(2) triple J+ = a1^dag a2, J- = a2^dag a1, J3 = (N1 - N2)/2.
 
-    The su(2) relations hold exactly on the subspace of total photon
-    number <= n_max.
+    With a1 = a (x) 1 and a2 = 1 (x) a the mixed-product identity gives the
+    Kronecker forms J+ = a^dag (x) a, J- = a (x) a^dag and
+    J3 = (N (x) 1 - 1 (x) N)/2, so J3 is exact. The su(2) relations hold
+    exactly on the subspace of total photon number <= n_max.
     """
     c = _cutoff(cutoff)
-    a1, a2 = _mode_ops(c)
-    jp = a1.conj().T @ a2
-    jm = a2.conj().T @ a1
-    j3 = (a1.conj().T @ a1 - a2.conj().T @ a2) / 2
+    a, adag, n, eye = annihilation(c).matrix, creation(c).matrix, number(c).matrix, np.eye(c.dim)
+    jp = tensor_op(adag, a)
+    jm = tensor_op(a, adag)
+    j3 = (tensor_op(n, eye) - tensor_op(eye, n)) / 2
     return (
         ModeOperator(c, jp, "J+"),
         ModeOperator(c, jm, "J-"),
@@ -388,13 +383,16 @@ def exchange_protocol(theta: float, cutoff) -> ModeOperator:
     the leftover phases, giving |z2> (x) |z1> for every coherent pair -
     and hence, by linearity, swapping arbitrary two-mode states. E does not
     depend on the states being swapped; theta only selects which
-    beamsplitter realizes it.
+    beamsplitter realizes it. theta is taken modulo 2 pi first (``math.fmod``
+    is exact), so that the phases theta * n of V1 and V2 keep the precision
+    that cancels the beamsplitter's however large theta is.
 
     At finite cutoff the swap is exact on blocks of total photon number
     <= n_max; inputs with weight above that leak infidelity of the order of
     their truncation weight.
     """
     c = _cutoff(cutoff)
+    theta = math.fmod(theta, math.tau)
     t = (math.pi / 2) * complex(math.cos(theta), math.sin(theta))
     phases = _phase_diagonal(-theta, 1, c) * _phase_diagonal(theta + math.pi, 2, c)
     blocks = [(idx, phases[idx, None] * block) for idx, block in beamsplitter(t, c)._blocks]
@@ -414,8 +412,6 @@ def imperfect_clone_numeric(x, t, cutoff) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.ndim != 1 or len(x) > c.dim:
         raise ValueError(f"input state must be a vector of length <= {c.dim}")
-    if len(x) < c.dim:
-        x = np.pad(x, (0, c.dim - len(x)))
     high = float(np.sum(np.abs(x[c.n_max // 2 + 1 :]) ** 2))
     if high > 1e-8:
         warnings.warn(

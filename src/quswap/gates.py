@@ -21,8 +21,9 @@ every controlled-unitary gate, and whether it generates all of U(d^2).
 ``controlled_unitary`` is provided only as a building block for exploring
 them.
 
-Each permutation gate is built from one table of integer index maps, and the
-six-gate product composes the builders' own entries, so it holds exactly.
+Each permutation gate is built from an integer index map, all written once in
+``_index_map``, and the six-gate product composes the builders' own maps, so
+it holds exactly.
 """
 
 from __future__ import annotations
@@ -76,22 +77,28 @@ class QuditGate:
 def _index_map(n: int, label: str) -> np.ndarray:
     """Index map of gate ``label`` on n-level qudits: basis index i (a*n + b) goes to map[i]."""
     i = np.arange(n)
-    a, b, k = i[:, None], i, -i % n  # two-qudit maps broadcast to n x n, row-major
-    table = {  # each entry is built only when asked for
-        "sigma1": lambda: (i + 1) % n,
-        "k": lambda: k,
-        "cshift": lambda: a * n + (a + b) % n,
-        "cshift-rev": lambda: (a + b) % n * n + b,
-        "swap": lambda: b * n + a,
-        "k x 1": lambda: k[a] * n + b,
-        "1 x k": lambda: a * n + k[b],
-    }
-    m = lambda key: table[key]().ravel()  # noqa: E731
-    if label == "swap-composed":
-        # C_Sigma (K x 1) C~_Sigma (K x 1) C_Sigma (1 x K), rightmost factor first
-        cs, k1 = m("cshift"), m("k x 1")
-        return cs[k1[m("cshift-rev")[k1[cs[m("1 x k")]]]]]
-    return m(label)
+    k = -i % n
+    a, b = np.divmod(np.arange(n * n), n)  # the two qudits' levels at basis index a*n + b
+    match label:
+        case "sigma1":
+            return (i + 1) % n
+        case "k":
+            return k
+        case "cshift":
+            return a * n + (a + b) % n
+        case "cshift-rev":
+            return (a + b) % n * n + b
+        case "swap":
+            return b * n + a
+        case "k x 1":
+            return k[a] * n + b
+        case "1 x k":
+            return a * n + k[b]
+        case "swap-composed":
+            # C_Sigma (K x 1) C~_Sigma (K x 1) C_Sigma (1 x K), rightmost factor first
+            cs, k1 = _index_map(n, "cshift"), _index_map(n, "k x 1")
+            return cs[k1[_index_map(n, "cshift-rev")[k1[cs[_index_map(n, "1 x k")]]]]]
+    raise KeyError(label)
 
 
 def _permutation(d, label: str) -> QuditGate:

@@ -22,7 +22,7 @@ import os
 import time
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,15 +62,7 @@ class VerificationReport:
     wall_ms: float
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "params": {k: self.params[k] for k in sorted(self.params)},
-            "kind": self.kind,
-            "metric": self.metric,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "wall_ms": self.wall_ms,
-        }
+        return {**asdict(self), "params": dict(sorted(self.params.items()))}
 
 
 # (suite, check name) -> registered check, in definition order. A flat dict of

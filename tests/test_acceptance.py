@@ -147,10 +147,10 @@ def test_07_vacuum_invariance():
     )
 
 
-def test_08_heisenberg_rotations():
+def test_08_heisenberg_rotations(mode_pair):
     n_max = 16
     rng = np.random.default_rng(20240608)
-    a1, a2 = fock._mode_ops(fock.FockCutoff(n_max))
+    a1, a2 = mode_pair(n_max)
     bounded = fock.total_number_projector(n_max, n_max - 1)
     worst = 0.0
     for _ in range(10):

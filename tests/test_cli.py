@@ -20,6 +20,8 @@ HUGE_INTEGER_FILE = str(Path(__file__).parent / "data" / "huge_integer.json")
 OVERFLOWING_NORM_FILE = str(Path(__file__).parent / "data" / "overflowing_norm.json")
 # [1e-200, 1e-200]: a nonzero vector whose entries square to 0.0
 UNDERFLOWING_NORM_FILE = str(Path(__file__).parent / "data" / "underflowing_norm.json")
+# [0, 0]: the zero vector, which cannot be normalized
+ZERO_VECTOR_FILE = str(Path(__file__).parent / "data" / "zero_vector.json")
 
 
 def run_cli(capsys, *argv):
@@ -415,6 +417,7 @@ def test_non_finite_numbers_exit_2(argv, capsys):
         ({}, ["clone", "--z", "1e200", "--t-abs", "0.5"]),
         ({}, ["clone", "--input", HUGE_INTEGER_FILE, "--t-abs", "0.5"]),
         ({}, ["clone", "--input", OVERFLOWING_NORM_FILE, "--t-abs", "0.3", "--n-max", "4"]),
+        ({}, ["clone", "--input", ZERO_VECTOR_FILE, "--t-abs", "0.3", "--n-max", "4"]),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

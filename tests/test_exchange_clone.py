@@ -45,6 +45,16 @@ def test_exchange_swaps_coherent_pair(theta):
     assert core.fidelity(want, e @ inp) >= 1 - 1e-8
 
 
+@pytest.mark.parametrize("theta", [1e8, 1e16, 1e300, -1e300])
+def test_exchange_swaps_coherent_pair_at_large_theta(theta):
+    # the phase rotations multiply theta by occupation numbers, which loses
+    # the cancellation against the beamsplitter unless theta is reduced first
+    n_max = 8
+    s1, s2 = fock.coherent_state(0.5, n_max), fock.coherent_state(0.2, n_max)
+    out = fock.exchange_protocol(theta, n_max).apply(core.tensor_state(s1, s2))
+    assert core.fidelity(core.tensor_state(s2, s1), out) >= 1 - 1e-8
+
+
 def test_exchange_does_not_depend_on_inputs():
     # one fixed matrix serves every pair
     n_max = 16

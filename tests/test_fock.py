@@ -231,6 +231,17 @@ def test_schwinger_raising_moves_photon():
     assert core.max_abs(jp.apply(inp) - want) <= 1e-15
 
 
+@pytest.mark.parametrize("n_max", [1, 4, 16])
+def test_schwinger_su2_matches_mode_pair_products(n_max, mode_pair):
+    # oracle: the generators as products of the two-mode ladder operators
+    a1, a2 = mode_pair(n_max)
+    a1dag, a2dag = a1.conj().T, a2.conj().T
+    jp, jm, j3 = (g.matrix for g in fock.schwinger_su2(n_max))
+    assert np.array_equal(jp, a1dag @ a2)
+    assert np.array_equal(jm, a2dag @ a1)
+    assert core.max_abs(j3 - (a1dag @ a1 - a2dag @ a2) / 2) <= 1e-14
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_beamsplitter_keeps_vacuum(seed):
     t = rand_t(seed)
@@ -238,9 +249,9 @@ def test_beamsplitter_keeps_vacuum(seed):
     assert np.linalg.norm(fock.beamsplitter(t, CUT).apply(vac) - vac) <= 1e-12
 
 
-def test_beamsplitter_conserves_total_number():
+def test_beamsplitter_conserves_total_number(mode_pair):
     u = fock.beamsplitter(0.6 * np.exp(0.9j), CUT).matrix
-    a1, a2 = fock._mode_ops(CUT)
+    a1, a2 = mode_pair(CUT)
     n_tot = a1.conj().T @ a1 + a2.conj().T @ a2
     assert core.max_abs(core.commutator(u, n_tot)) <= 1e-12
 
@@ -250,11 +261,11 @@ def test_beamsplitter_is_unitary():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_heisenberg_rotation_of_modes(seed):
+def test_heisenberg_rotation_of_modes(seed, mode_pair):
     t = rand_t(30 + seed)
     abs_t, phase = abs(t), t / abs(t)
     u = fock.beamsplitter(t, CUT).matrix
-    a1, a2 = fock._mode_ops(CUT)
+    a1, a2 = mode_pair(CUT)
     bounded = fock.total_number_projector(CUT, N_MAX - 1)
     lhs1 = u @ a1 @ u.conj().T
     rhs1 = math.cos(abs_t) * a1 - phase * math.sin(abs_t) * a2
@@ -355,9 +366,9 @@ def test_phase_op_identity_and_period():
     assert core.max_abs(full_turn - np.eye(CUT.dim2)) <= 1e-12
 
 
-def test_phase_op_equals_exponential_of_number():
+def test_phase_op_equals_exponential_of_number(mode_pair):
     theta = 0.37
-    a1, a2 = fock._mode_ops(CUT)
+    a1, a2 = mode_pair(CUT)
     for mode, aj in ((1, a1), (2, a2)):
         direct = fock.phase_op(theta, mode, CUT).matrix
         via_exp = core.mat_exp(1j * theta * aj.conj().T @ aj)
