@@ -38,8 +38,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from . import fock, gates, verify
-from .core import fidelity, tensor_state
+from . import gates, verify
+from .core import TruncationWarning, fidelity, tensor_state
 
 __all__ = ["main"]
 
@@ -139,15 +139,23 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     return payload, 0 if all_passed else 1
 
 
-def cmd_exchange(args: argparse.Namespace) -> tuple[dict, int]:
-    n_max = args.n_max
-    state1 = fock.coherent_state(args.z1, n_max)
-    state2 = fock.coherent_state(args.z2, n_max)
+def _advise_cutoff(n_max: int, **amplitudes: complex) -> None:
+    """Print a warning on stderr for each coherent amplitude above the advisory bound
+    sqrt(n_max)/4; the command still runs, with the truncated states."""
     advisory = math.sqrt(n_max) / 4
-    for label, z in (("z1", args.z1), ("z2", args.z2)):
+    for label, z in amplitudes.items():
         if abs(z) > advisory:
             print(f"warning: |{label}|={abs(z):.3f} exceeds the advisory bound "
                   f"sqrt(n_max)/4={advisory:.3f}", file=sys.stderr)
+
+
+def cmd_exchange(args: argparse.Namespace) -> tuple[dict, int]:
+    from . import fock
+
+    n_max = args.n_max
+    state1 = fock.coherent_state(args.z1, n_max)
+    state2 = fock.coherent_state(args.z2, n_max)
+    _advise_cutoff(n_max, z1=args.z1, z2=args.z2)
     exchanged = fock.exchange_protocol(args.theta, n_max).apply(tensor_state(state1, state2))
     target = tensor_state(state2, state1)
     w1 = fock.coherent_truncation_weight(args.z1, n_max)
@@ -209,11 +217,14 @@ def _load_coefficients(path: str, dim: int) -> np.ndarray:
 
 
 def cmd_clone(args: argparse.Namespace) -> tuple[dict, int]:
+    from . import fock
+
     n_max = args.n_max
     if (args.input is None) == (args.z is None):
         raise ValueError("provide exactly one of --input or --z")
     if args.z is not None:
         x = fock.coherent_state(args.z, n_max)
+        _advise_cutoff(n_max, z=args.z)
         source = {"coherent_z": complex_pair(args.z)}
     else:
         try:
@@ -282,7 +293,7 @@ def main(argv=None) -> int:
         # --out is opened before the command runs, as shell redirection would be
         with (open(args.out, "w", encoding="utf-8") if args.out
               else contextlib.nullcontext(sys.stdout)) as out, warnings.catch_warnings():
-            warnings.simplefilter("ignore", fock.TruncationWarning)
+            warnings.simplefilter("ignore", TruncationWarning)
             payload, code = args.func(args)
             if isinstance(payload, dict):
                 out.write(json.dumps(payload, indent=2) + "\n")

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "QuditDim",
@@ -27,6 +26,14 @@ __all__ = [
     "tensor_op",
     "tensor_state",
 ]
+
+
+class TruncationWarning(UserWarning):
+    """Emitted when an input is too large for the requested cutoff.
+
+    Public as ``fock.TruncationWarning``; it lives here so that the CLI and
+    ``verify`` can filter it without importing ``fock`` and scipy.
+    """
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,12 @@ def mat_exp(a) -> np.ndarray:
 
     Delegates to scipy's scaling-and-squaring Pade implementation; the test
     suite pins its accuracy against a straight Taylor-series evaluation.
+    ``scipy.linalg`` is imported on the first call, so that importing this
+    module (and the qudit gates) loads numpy only; ``fock``, whose
+    ``displacement`` and ``squeeze`` call this, has already loaded it.
     """
+    import scipy.linalg
+
     a = _as_square(a)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix exponential of non-finite entries")

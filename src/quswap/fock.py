@@ -39,36 +39,10 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammainc
 
-from .core import mat_exp, tensor_op
-
-__all__ = [
-    "BeamsplitterParam",
-    "FockCutoff",
-    "ModeOperator",
-    "TruncationWarning",
-    "annihilation",
-    "beamsplitter",
-    "beamsplitter_blockwise",
-    "coherent_state",
-    "coherent_truncation_weight",
-    "creation",
-    "displacement",
-    "exchange_protocol",
-    "imperfect_clone_closed_form",
-    "imperfect_clone_numeric",
-    "level_projector",
-    "mode2_marginal",
-    "number",
-    "phase_op",
-    "schwinger_su2",
-    "squeeze",
-    "su11_generators",
-    "total_number_projector",
-]
-
-
-class TruncationWarning(UserWarning):
-    """Emitted when an input is too large for the requested cutoff."""
+# ``__all__`` is kept by the package, which resolves these names before it
+# imports this module and scipy
+from . import _FOCK_ALL as __all__
+from .core import TruncationWarning, mat_exp, tensor_op
 
 
 @dataclass(frozen=True)

@@ -519,6 +519,20 @@ def test_clone_coherent_split(capsys):
     assert float(np.real(np.vdot(target, rho1 @ target))) >= 1 - 1e-8
 
 
+@pytest.mark.parametrize("argv,advisory", [
+    (["clone", "--z", "3", "--t-abs", "pi/4", "--n-max", "8"],
+     "warning: |z|=3.000 exceeds the advisory bound sqrt(n_max)/4=0.707\n"),
+    (["exchange", "--z1", "3", "--z2", "0.5", "--n-max", "8"],
+     "warning: |z1|=3.000 exceeds the advisory bound sqrt(n_max)/4=0.707\n"),
+    (["clone", "--z", "1", "--t-abs", "pi/4", "--n-max", "32"], ""),
+])
+def test_coherent_input_above_the_advisory_bound_warns(argv, advisory, capsys):
+    # clone --z 3 at n_max 8 loses 0.544 of the input's weight to the cutoff
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["n_max"] == int(argv[-1])
+    assert err == advisory
+
+
 def test_clone_single_photon_file(tmp_path, capsys):
     path = tmp_path / "one_photon.json"
     path.write_text(json.dumps([[0.0, 0.0], [1.0, 0.0]]))

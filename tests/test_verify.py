@@ -124,7 +124,7 @@ def test_number_conservation_check_fails_on_a_block_across_totals(monkeypatch):
     mixing = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     rest = np.arange(2, cut.dim2)
     blocks = [(np.array([0, 1]), mixing), (rest, np.eye(len(rest)))]
-    monkeypatch.setattr(verify.fock, "beamsplitter", lambda t, cutoff: (
+    monkeypatch.setattr(fock, "beamsplitter", lambda t, cutoff: (
         fock.ModeOperator._from_blocks(cut, blocks, "mixing")))
     report = verify.check_beamsplitter_number_conservation(n_max)
     assert report.passed is False
