@@ -8,8 +8,9 @@ modes and realizes the coherent-state exchange protocol and the
 oracle. ``verify`` packages the identity checks behind the ``quswap``
 command line.
 
-``import quswap`` loads numpy only. ``fock``, and scipy with it, is imported
-on the first use of ``quswap.fock`` or of one of its names.
+``import quswap`` loads numpy only. ``fock``, which needs numpy only as
+well, is imported on the first use of ``quswap.fock`` or of one of its
+names.
 """
 
 import importlib

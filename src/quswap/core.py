@@ -32,7 +32,7 @@ class TruncationWarning(UserWarning):
     """Emitted when an input is too large for the requested cutoff.
 
     Public as ``fock.TruncationWarning``; it lives here so that the CLI and
-    ``verify`` can filter it without importing ``fock`` and scipy.
+    ``verify`` can filter it without importing ``fock``.
     """
 
 
@@ -137,9 +137,9 @@ def mat_exp(a) -> np.ndarray:
 
     Delegates to scipy's scaling-and-squaring Pade implementation; the test
     suite pins its accuracy against a straight Taylor-series evaluation.
-    ``scipy.linalg`` is imported on the first call, so that importing this
-    module (and the qudit gates) loads numpy only; ``fock``, whose
-    ``displacement`` and ``squeeze`` call this, has already loaded it.
+    No production route calls it: it stays public as the dense oracle that
+    the tests hold the spectral Fock builders to. ``scipy.linalg`` is
+    imported on the first call, so no other path needs scipy.
     """
     import scipy.linalg
 

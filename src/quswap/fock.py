@@ -36,13 +36,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammainc
 
 # ``__all__`` is kept by the package, which resolves these names before it
-# imports this module and scipy
+# imports this module
 from . import _FOCK_ALL as __all__
-from .core import TruncationWarning, mat_exp, tensor_op
+from . import _igam
+from .core import TruncationWarning, tensor_op
 
 
 @dataclass(frozen=True)
@@ -73,9 +72,10 @@ class ModeOperator:
 
     Kept as (indices, block) pairs whose index arrays partition the basis.
     A dense matrix becomes one block over every index; the two-mode
-    operators that conserve total photon number keep one block per total
-    (see ``_from_blocks``). ``apply`` multiplies a state block by block,
-    and ``matrix`` is assembled from the blocks on each read.
+    operators that conserve total photon number keep one block per total,
+    and the squeeze one block per parity (see ``_from_blocks``). ``apply``
+    multiplies a state block by block, and ``matrix`` is assembled from the
+    blocks on each read.
     """
 
     def __init__(self, cutoff: FockCutoff, matrix, label: str) -> None:
@@ -91,7 +91,7 @@ class ModeOperator:
 
     @classmethod
     def _from_blocks(cls, cutoff: FockCutoff, blocks, label: str) -> ModeOperator:
-        """Two-mode operator from (indices, block) pairs whose indices partition the basis."""
+        """Operator from (indices, block) pairs whose indices partition the basis."""
         op = cls.__new__(cls)
         op.cutoff = cutoff
         op.label = label
@@ -171,14 +171,15 @@ def coherent_truncation_weight(z: complex, cutoff) -> float:
 
     Computed as a Poisson tail, the regularized lower incomplete gamma
     function P(n_max + 1, |z|^2), so that tiny weights are not lost to
-    cancellation. Raises ValueError when |z|^2 overflows a float.
+    cancellation; ``_igam`` ports the cephes ``igam`` for it, bit for bit.
+    Raises ValueError when |z|^2 overflows a float.
     """
     c = _cutoff(cutoff)
     try:
         mean = abs(z) ** 2
     except OverflowError:
         raise ValueError(f"|z|^2 overflows a float for z={z}") from None
-    return float(gammainc(c.n_max + 1, mean))
+    return _igam.igam(c.n_max + 1, mean)
 
 
 def coherent_state(z: complex, cutoff) -> np.ndarray:
@@ -216,12 +217,15 @@ def displacement(z: complex, cutoff) -> ModeOperator:
     """D(z) = exp(z a^dag - conj(z) a); D(z)|0> is the coherent state |z>.
 
     The truncated generator is exactly antihermitian, so D(z) is unitary on
-    the whole truncated space.
+    the whole truncated space. It equals -i|z| P R P* with R the real
+    tridiagonal matrix of off-diagonal sqrt(n) and P = diag((i z/|z|)^n),
+    and is exponentiated through the spectrum of R (``_spectral_exp``).
     """
     c = _cutoff(cutoff)
-    a = annihilation(c).matrix
-    gen = z * a.conj().T - np.conj(z) * a
-    return ModeOperator(c, mat_exp(gen), "displacement")
+    z = complex(z)
+    levels = np.arange(c.dim)
+    block = _spectral_exp(np.sqrt(levels[1:]), abs(z), cmath.phase(z), levels)
+    return ModeOperator(c, block, "displacement")
 
 
 def su11_generators(cutoff) -> tuple[ModeOperator, ModeOperator, ModeOperator]:
@@ -248,7 +252,11 @@ def squeeze(w: complex, cutoff) -> ModeOperator:
 
     Acting on the vacuum it populates even levels only. Warns when |w| > 1,
     where the truncated matrix no longer approximates the untruncated one
-    well.
+    well. The generator couples n to n + 2 only, so S(w) is kept as two
+    blocks, the even and the odd levels. On the chain of levels n = 2k + r
+    it equals -i|w| P R P* with R real tridiagonal, off-diagonal
+    sqrt((n + 1)(n + 2))/2, and P = diag((i w/|w|)^k), and is exponentiated
+    through the spectrum of R (``_spectral_exp``).
     """
     c = _cutoff(cutoff)
     if abs(w) > 1:
@@ -258,8 +266,13 @@ def squeeze(w: complex, cutoff) -> ModeOperator:
             TruncationWarning,
             stacklevel=2,
         )
-    kp, km, _ = su11_generators(c)
-    return ModeOperator(c, mat_exp(w * kp.matrix - np.conj(w) * km.matrix), "squeeze")
+    w = complex(w)
+    blocks = []
+    for levels in (np.arange(0, c.dim, 2), np.arange(1, c.dim, 2)):
+        off = np.sqrt((levels[:-1] + 1) * (levels[:-1] + 2)) / 2
+        steps = np.arange(len(levels))
+        blocks.append((levels, _spectral_exp(off, abs(w), cmath.phase(w), steps)))
+    return ModeOperator._from_blocks(c, blocks, "squeeze")
 
 
 def schwinger_su2(cutoff) -> tuple[ModeOperator, ModeOperator, ModeOperator]:
@@ -282,21 +295,36 @@ def schwinger_su2(cutoff) -> tuple[ModeOperator, ModeOperator, ModeOperator]:
     )
 
 
+def _spectral_exp(off: np.ndarray, modulus: float, phase: float,
+                  steps: np.ndarray) -> np.ndarray:
+    """exp(-i modulus P R P*) = P v e^(-i modulus w) v^T P*.
+
+    R = v diag(w) v^T is the real symmetric tridiagonal matrix with zero
+    diagonal and off-diagonal ``off``, and P = diag(e^(i(phase + pi/2) steps)).
+    Every su(2), su(1,1) and displacement block here has this form. A
+    modulus that is not finite raises ValueError.
+    """
+    if not math.isfinite(modulus):
+        raise ValueError(f"exponential of a non-finite generator (modulus {modulus})")
+    # eigh reads the lower triangle only
+    w, v = np.linalg.eigh(np.diag(off, -1))
+    phases = np.exp(1j * (phase + math.pi / 2) * steps)
+    rotation = (v * np.exp(-1j * modulus * w)) @ v.T
+    return phases[:, None] * rotation * phases.conj()
+
+
 def _beamsplitter_block(n: int, c: FockCutoff,
                         p: BeamsplitterParam) -> tuple[np.ndarray, np.ndarray]:
     """Block of U_J(t) on total photon number n, as (indices, block).
 
     The block spans the first-mode occupations n1 that the cutoff keeps, in
     rising order. There the generator t a1^dag a2 - conj(t) a2^dag a1 equals
-    -i|t| P R P* with P = diag(e^(i(theta + pi/2) n1)) and R = v diag(w) v^T
-    the real tridiagonal matrix of a1^dag a2, off-diagonal
-    sqrt((n1 + 1)(n - n1)), so the block is P v e^(-i|t| w) v^T P*.
+    -i|t| P R P* with P = diag(e^(i(theta + pi/2) n1)) and R the real
+    tridiagonal matrix of a1^dag a2, off-diagonal sqrt((n1 + 1)(n - n1)).
     """
     n1 = np.arange(max(0, n - c.n_max), min(n, c.n_max) + 1)
-    w, v = eigh_tridiagonal(np.zeros(len(n1)), np.sqrt((n1[:-1] + 1) * (n - n1[:-1])))
-    phases = np.exp(1j * (p.phase + math.pi / 2) * n1)
-    rotation = (v * np.exp(-1j * p.modulus * w)) @ v.T
-    return n1 * c.dim + (n - n1), phases[:, None] * rotation * phases.conj()
+    off = np.sqrt((n1[:-1] + 1) * (n - n1[:-1]))
+    return n1 * c.dim + (n - n1), _spectral_exp(off, p.modulus, p.phase, n1)
 
 
 def beamsplitter(t, cutoff) -> ModeOperator:

@@ -193,8 +193,8 @@ def qudit_checks(d_max: int = 8) -> list[VerificationReport]:
 # ---------------------------------------------------------------------------
 # fock suite
 # ---------------------------------------------------------------------------
-# Each body imports ``fock`` itself: the qudit suite then never loads it (nor
-# scipy), and a check called directly still finds it.
+# Each body imports ``fock`` itself: the qudit suite then never loads it, and
+# a check called directly still finds it.
 
 @_check("fock", "ladder-commutators", "deviation", 1e-13)
 def check_ladder_commutators(n_max: int) -> tuple[dict, float]:

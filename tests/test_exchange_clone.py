@@ -227,6 +227,19 @@ def test_clone_mode2_marginal_is_pure_coherent():
     assert overlap >= 1 - 1e-8
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_mode2_marginal_of_complex_states(seed):
+    # a complex state tells the marginal from its transpose, which a real
+    # state does not
+    n_max = 6
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(n_max + 1, n_max + 1)) + 1j * rng.normal(size=(n_max + 1, n_max + 1))
+    v /= np.linalg.norm(v)
+    want = np.einsum("nm,nk->mk", v, v.conj())
+    assert core.max_abs(fock.mode2_marginal(v.ravel(), n_max) - want) <= 1e-15
+    assert core.max_abs(want - want.T) > 1e-3
+
+
 def test_clone_warns_on_top_heavy_input():
     n_max = 8
     x = core.basis_state(7, n_max + 1)

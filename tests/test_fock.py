@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.special
 import scipy.stats
 
-from quswap import core, fock
+from quswap import _igam, core, fock
 
 
 N_MAX = 16
@@ -160,6 +163,70 @@ def test_truncation_weight_is_poisson_survival_function(z):
     assert got == [float(scipy.stats.poisson.sf(k, mu)) for k in range(1, 65)]
 
 
+def _truncation_weight_grid():
+    """(a, x) pairs through every branch of the cephes igam route, for integer a."""
+    specials = [0.0, 1e-320, 1e300, math.nan]
+    for a in range(2, 66):
+        # series below a, continued fraction above it, Temme's expansion for
+        # 20 < a < 200 and |x - a|/a < 0.3, both branches of igam_fac
+        xs = np.concatenate([np.geomspace(1e-8, 5 * a + 50, 150),
+                             a * (1 + np.linspace(-0.45, 0.45, 91))])
+        yield a, [*specials, *xs.tolist()]
+    # the edges of Temme's regime at its smallest a, 21: sigma -> +-0.3 from either side
+    edges = [21 * (1 + s) for s in (-0.3, 0.3)]
+    yield 21, [x for e in edges for x in (math.nextafter(e, 0), e, math.nextafter(e, 100))]
+    # large a: the expansion within 4.5/sqrt(a) of x = a, the Lanczos
+    # log1pmx form of igam_fac, and lgam past 1000 and past 1e8
+    for a in [199, 200, 201, 999, 1000, 1001, 4096, 31623, 10**6, 10**9]:
+        s = 4.5 / math.sqrt(a)
+        xs = np.concatenate([a * (1 + np.linspace(-1.5 * s, 1.5 * s, 61)),
+                             np.geomspace(1e-3, 10 * a, 60)])
+        yield a, [*specials, *xs.tolist()]
+
+
+def test_truncation_weight_port_is_scipy_gammainc_bit_for_bit():
+    mismatches = []
+    for a, xs in _truncation_weight_grid():
+        want = scipy.special.gammainc(a, np.array(xs)).tolist()
+        got = [_igam.igam(a, x) for x in xs]
+        mismatches += [(a, x, g, w) for x, g, w in zip(xs, got, want)
+                       if not (g == w or (math.isnan(g) and math.isnan(w)))]
+    assert mismatches == []
+
+
+def test_truncation_weight_port_rejects_shapes_off_its_route():
+    for a in (1, 2.5, 0):
+        with pytest.raises(ValueError, match="integer >= 2"):
+            _igam.igam(a, 1.0)
+
+
+@pytest.mark.parametrize("z", [0.7 - 0.3j, -1.2 + 0.5j])
+def test_displacement_matches_dense_exponential(z):
+    # the spectral route against the dense oracle, max deviation 1.7e-14
+    for n_max in range(1, 65):
+        a = fock.annihilation(n_max).matrix
+        dense = core.mat_exp(z * a.conj().T - np.conj(z) * a)
+        assert core.max_abs(fock.displacement(z, n_max).matrix - dense) <= 5e-14
+
+
+@pytest.mark.parametrize("w", [0.4 - 0.2j, 0.9])
+def test_squeeze_matches_dense_exponential(w):
+    # the even and odd chains against the dense oracle, max deviation 1.4e-14
+    for n_max in range(1, 65):
+        kp, km, _ = fock.su11_generators(n_max)
+        dense = core.mat_exp(w * kp.matrix - np.conj(w) * km.matrix)
+        assert core.max_abs(fock.squeeze(w, n_max).matrix - dense) <= 5e-14
+
+
+@pytest.mark.parametrize("build", [fock.displacement, fock.squeeze])
+@pytest.mark.parametrize("z", [math.inf, complex(0, math.nan), complex(-math.inf, 1)])
+def test_spectral_builders_reject_non_finite_parameters(build, z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", fock.TruncationWarning)
+        with pytest.raises(ValueError, match="non-finite"):
+            build(z, 8)
+
+
 def test_displacement_identity_and_inverse():
     assert core.max_abs(fock.displacement(0, CUT).matrix - np.eye(CUT.dim)) <= 1e-14
     z = 0.8 - 0.3j
@@ -292,6 +359,32 @@ def test_beamsplitter_splits_coherent_state():
 # ---------------------------------------------------------------------------
 # beamsplitter blocks, against the dense-exponential oracle
 # ---------------------------------------------------------------------------
+
+def test_beamsplitter_eigenpairs_equal_scipy_eigh_tridiagonal(monkeypatch):
+    # numpy's eigh of the dense tridiagonal generator reaches the LAPACK
+    # routine that eigh_tridiagonal calls; a BLAS/LAPACK build that breaks
+    # this identity moves the bytes of verify and clone
+    calls = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(m):
+        calls.append((m, *eigh(m)))
+        return calls[-1][1:]
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    p = fock.BeamsplitterParam(0.7 - 0.4j)
+    for n_max in range(1, 65):
+        c = fock.FockCutoff(n_max)
+        for n in range(2 * n_max + 1):
+            calls.clear()
+            fock._beamsplitter_block(n, c, p)
+            (m, w, v), = calls
+            n1 = np.arange(max(0, n - n_max), min(n, n_max) + 1)
+            off = np.sqrt((n1[:-1] + 1) * (n - n1[:-1]))
+            assert np.array_equal(np.diag(m, -1), off)
+            w_ref, v_ref = scipy.linalg.eigh_tridiagonal(np.zeros(len(n1)), off)
+            assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref), (n_max, n)
+
 
 def test_blockwise_vacuum_block_is_trivial():
     u = fock.beamsplitter_blockwise(rand_t(8), CUT).matrix

@@ -1,5 +1,5 @@
-"""What each entry point imports: the qudit paths load numpy only, and
-``quswap.fock`` brings scipy with it before any of its functions is called."""
+"""What each entry point imports: the qudit paths load numpy only, and no
+path loads scipy, which only the tests use as an oracle."""
 
 import os
 import subprocess
@@ -34,14 +34,56 @@ print(sorted(m for m in sys.modules if m == "quswap.fock" or m.split(".")[0] == 
     assert out == "[]\n"
 
 
-def test_importing_fock_loads_scipy_before_any_call():
-    # the first timed Fock call must not pay for the scipy import
-    out = run_fresh("""
+def test_fock_paths_import_no_scipy(tmp_path):
+    coefficients = tmp_path / "x.json"
+    coefficients.write_text("[0.6, [0, 0.8]]")
+    out = run_fresh(f"""
 import sys
+import numpy as np
 from quswap import fock
-print("scipy.linalg" in sys.modules, "scipy.special" in sys.modules)
+# the first timed Fock call must not pay for an import
+assert "quswap._igam" in sys.modules
+import quswap.cli
+
+x = fock.coherent_state(0.5 - 0.2j, 6)
+args = {{
+    "BeamsplitterParam": (0.3j,),
+    "FockCutoff": (6,),
+    "ModeOperator": (fock.FockCutoff(6), np.eye(7), "identity"),
+    "annihilation": (6,),
+    "beamsplitter": (0.3j, 6),
+    "beamsplitter_blockwise": (0.3j, 6),
+    "coherent_state": (0.5 - 0.2j, 6),
+    "coherent_truncation_weight": (0.5, 6),
+    "creation": (6,),
+    "displacement": (0.5 - 0.2j, 6),
+    "exchange_protocol": (0.4, 6),
+    "imperfect_clone_closed_form": (x, 0.7, 6),
+    "imperfect_clone_numeric": (x, 0.7, 6),
+    "level_projector": (6, 3),
+    "mode2_marginal": (np.kron(x, x), 6),
+    "number": (6,),
+    "phase_op": (0.3, 2, 6),
+    "schwinger_su2": (6,),
+    "squeeze": (0.3j, 6),
+    "su11_generators": (6,),
+    "total_number_projector": (6, 4),
+}}
+assert set(args) == set(fock.__all__) - {{"TruncationWarning"}}
+for name, a in args.items():
+    result = getattr(fock, name)(*a)
+    for op in result if isinstance(result, tuple) else [result]:
+        if isinstance(op, fock.ModeOperator):
+            op.apply(np.ones(op.dim))
+out = {str(tmp_path / "out.json")!r}
+for argv in (["exchange", "--z1", "0.7", "--z2=-0.4+0.3i", "--theta", "1.3"],
+             ["clone", "--z=0.6-0.2i", "--t-abs", "0.7"],
+             ["clone", "--input", {str(coefficients)!r}, "--t-abs", "0.7"],
+             ["verify", "--suite", "all", "--d-max", "3", "--n-max", "4"]):
+    assert quswap.cli.main([*argv, "--out", out]) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """)
-    assert out == "True True\n"
+    assert out == "[]\n"
 
 
 def test_fock_checks_run_when_called_directly():
