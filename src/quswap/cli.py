@@ -38,7 +38,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from . import gates, verify
+from . import fock, gates, verify
 from .core import TruncationWarning, fidelity, tensor_state
 
 __all__ = ["main"]
@@ -150,8 +150,6 @@ def _advise_cutoff(n_max: int, **amplitudes: complex) -> None:
 
 
 def cmd_exchange(args: argparse.Namespace) -> tuple[dict, int]:
-    from . import fock
-
     n_max = args.n_max
     state1 = fock.coherent_state(args.z1, n_max)
     state2 = fock.coherent_state(args.z2, n_max)
@@ -217,8 +215,6 @@ def _load_coefficients(path: str, dim: int) -> np.ndarray:
 
 
 def cmd_clone(args: argparse.Namespace) -> tuple[dict, int]:
-    from . import fock
-
     n_max = args.n_max
     if (args.input is None) == (args.z is None):
         raise ValueError("provide exactly one of --input or --z")

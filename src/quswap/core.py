@@ -31,8 +31,7 @@ __all__ = [
 class TruncationWarning(UserWarning):
     """Emitted when an input is too large for the requested cutoff.
 
-    Public as ``fock.TruncationWarning``; it lives here so that the CLI and
-    ``verify`` can filter it without importing ``fock``.
+    Public as ``fock.TruncationWarning``, which re-exports it.
     """
 
 

@@ -37,11 +37,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# ``__all__`` is kept by the package, which resolves these names before it
-# imports this module
-from . import _FOCK_ALL as __all__
 from . import _igam
 from .core import TruncationWarning, tensor_op
+
+__all__ = [
+    "BeamsplitterParam",
+    "FockCutoff",
+    "ModeOperator",
+    "TruncationWarning",
+    "annihilation",
+    "beamsplitter",
+    "beamsplitter_blockwise",
+    "coherent_state",
+    "coherent_truncation_weight",
+    "creation",
+    "displacement",
+    "exchange_protocol",
+    "imperfect_clone_closed_form",
+    "imperfect_clone_numeric",
+    "level_projector",
+    "mode2_marginal",
+    "number",
+    "phase_op",
+    "schwinger_su2",
+    "squeeze",
+    "su11_generators",
+    "total_number_projector",
+]
 
 
 @dataclass(frozen=True)

@@ -167,7 +167,9 @@ def controlled_unitary(u, d=None) -> QuditGate:
     repeated multiplication. Rejects non-unitary U.
     """
     u = np.asarray(u, dtype=complex)
-    n = _levels(d) if d is not None else u.shape[0]
+    if u.ndim != 2:
+        raise ValueError(f"control matrix must be 2-D, got shape {u.shape}")
+    n = _levels(d if d is not None else len(u))
     if u.shape != (n, n):
         raise ValueError(f"control matrix must be {n}x{n}, got {u.shape}")
     if not is_unitary(u, 1e-12):

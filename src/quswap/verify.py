@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import core, gates
+from . import core, fock, gates
 
 __all__ = ["VerificationReport", "analytic_tol", "fock_checks", "qudit_checks", "run_suite"]
 
@@ -187,20 +187,18 @@ def _suite(suite: str, size: int) -> list[VerificationReport]:
 
 def qudit_checks(d_max: int = 8) -> list[VerificationReport]:
     """All qudit-gate invariants for every d in 2..d_max."""
+    if d_max < 2:
+        raise ValueError(f"d_max must be >= 2, got {d_max}")
     return [report for d in range(2, d_max + 1) for report in _suite("qudit", d)]
 
 
 # ---------------------------------------------------------------------------
 # fock suite
 # ---------------------------------------------------------------------------
-# Each body imports ``fock`` itself: the qudit suite then never loads it, and
-# a check called directly still finds it.
 
 @_check("fock", "ladder-commutators", "deviation", 1e-13)
 def check_ladder_commutators(n_max: int) -> tuple[dict, float]:
     """[N, a^dag] = a^dag and [N, a] = -a everywhere; [a, a^dag] = 1 below the boundary."""
-    from . import fock
-
     a = fock.annihilation(n_max).matrix
     adag = fock.creation(n_max).matrix
     n_op = fock.number(n_max).matrix
@@ -227,8 +225,6 @@ def check_number_basis(n_max: int) -> tuple[dict, float]:
 @_check("fock", "beamsplitter-number-conservation", "deviation", 1e-12)
 def check_beamsplitter_number_conservation(n_max: int) -> tuple[dict, float]:
     """[U_J(t), N1 + N2] = 0: the beamsplitter is block-diagonal in total number."""
-    from . import fock
-
     n = np.diag(fock.number(n_max).matrix).real
     n_tot = np.add.outer(n, n).ravel()
     dev = 0.0
@@ -243,8 +239,6 @@ def check_beamsplitter_number_conservation(n_max: int) -> tuple[dict, float]:
 @_check("fock", "exchange-convergence", "deviation", MONOTONE_JITTER)
 def check_exchange_convergence(n_max: int) -> tuple[dict, float]:
     """Exchange fidelity is non-decreasing in the cutoff for fixed coherent inputs."""
-    from . import fock
-
     ladder = [c for c in EXCHANGE_CUTOFF_LADDER if c <= n_max] or [n_max]
     pairs = [(0.7 + 0j, -0.4 + 0.3j), (1.0 + 0j, 0.5j)]
     exchanges = {cut: fock.exchange_protocol(0.0, cut) for cut in ladder}
@@ -264,8 +258,6 @@ def check_exchange_convergence(n_max: int) -> tuple[dict, float]:
 @_check("fock", "clone-closed-form-norm", "deviation", analytic_tol)
 def check_clone_closed_form_norm(n_max: int) -> tuple[dict, float]:
     """The closed-form split of a normalized state is normalized."""
-    from . import fock
-
     rng = np.random.default_rng(20240601)
     dev = 0.0
     for x in _random_states(rng, 20, n_max, n_max + 1):
@@ -278,8 +270,6 @@ def check_clone_closed_form_norm(n_max: int) -> tuple[dict, float]:
 @_check("fock", "clone-oracle-equivalence", "fidelity", 1 - 1e-8)
 def check_clone_oracle_equivalence(n_max: int) -> tuple[dict, float]:
     """Beamsplitter route and closed-form amplitudes agree on random inputs."""
-    from . import fock
-
     rng = np.random.default_rng(20240602)
     t = 0.7 * np.exp(0.4j)
     worst = 1.0
@@ -293,8 +283,6 @@ def check_clone_oracle_equivalence(n_max: int) -> tuple[dict, float]:
 @_check("fock", "clone-coherent-marginal", "fidelity", 1 - 1e-8)
 def check_clone_coherent_marginal(n_max: int) -> tuple[dict, float]:
     """Second-mode marginal of a cloned coherent state is the coherent state sin|t| z."""
-    from . import fock
-
     # largest probe z whose truncated tail stays well below the fidelity
     # margin at this cutoff
     z = next(

@@ -314,3 +314,7 @@ def test_gate_rejects_bad_dim():
         gates.QuditGate(3, np.eye(4), "bad")
     with pytest.raises(ValueError):
         gates.sigma1(1)
+    with pytest.raises(ValueError):
+        gates.controlled_unitary(np.eye(1))
+    with pytest.raises(ValueError):
+        gates.controlled_unitary(5)

@@ -1,5 +1,5 @@
-"""What each entry point imports: the qudit paths load numpy only, and no
-path loads scipy, which only the tests use as an oracle."""
+"""What each entry point imports: no path loads scipy, which only the tests
+use as an oracle."""
 
 import os
 import subprocess
@@ -21,7 +21,7 @@ def run_fresh(code: str) -> str:
     return result.stdout
 
 
-def test_qudit_paths_import_neither_fock_nor_scipy(tmp_path):
+def test_qudit_paths_import_no_scipy(tmp_path):
     out = run_fresh(f"""
 import sys
 import quswap
@@ -29,7 +29,7 @@ import quswap.cli
 quswap.gates.swap_composed(8)
 quswap.run_suite("qudit", d_max=4)
 assert quswap.cli.main(["gate", "--name", "swap", "--d", "2", "--out", {str(tmp_path / "s.json")!r}]) == 0
-print(sorted(m for m in sys.modules if m == "quswap.fock" or m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """)
     assert out == "[]\n"
 
@@ -87,7 +87,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 
 def test_fock_checks_run_when_called_directly():
-    # a check body must reach fock itself, not through a global bound by the suite runner
+    # a check called on its own, without the suite runner, finds every module it uses
     out = run_fresh("""
 import quswap.verify as verify
 for (suite, name), check in verify._CHECKS.items():

@@ -63,6 +63,18 @@ def test_suite_selection():
         verify.run_suite("nope")
 
 
+@pytest.mark.parametrize("run", [
+    lambda: verify.qudit_checks(0),
+    lambda: verify.qudit_checks(1),
+    lambda: verify.run_suite("qudit", d_max=1),
+    lambda: verify.fock_checks(0),
+], ids=["qudit-0", "qudit-1", "suite-qudit-1", "fock-0"])
+def test_a_suite_that_would_check_nothing_is_rejected(run):
+    # an empty report list would read as all passed
+    with pytest.raises(ValueError):
+        run()
+
+
 def test_exchange_convergence_ladder_respects_cutoff():
     report = verify.check_exchange_convergence(8)
     assert report.params["cutoffs"] == [8]
@@ -131,14 +143,14 @@ def test_number_conservation_check_fails_on_a_block_across_totals(monkeypatch):
     assert report.metric == pytest.approx(1 / np.sqrt(2))
 
 
-def _gates_with(old: str, new: str) -> types.ModuleType:
-    """A fresh copy of ``quswap.gates`` with ``old`` replaced by ``new`` in its source."""
-    source = inspect.getsource(gates)
-    assert source.count(old) == 1  # each index map is written down once
-    module = types.ModuleType(gates.__name__)
-    module.__package__ = "quswap"
-    exec(compile(source.replace(old, new), gates.__file__, "exec"), module.__dict__)
-    return module
+def _module_with(module: types.ModuleType, old: str, new: str) -> types.ModuleType:
+    """A fresh copy of ``module`` with ``old`` replaced by ``new`` in its source."""
+    source = inspect.getsource(module)
+    assert source.count(old) == 1  # the fault lands on exactly one site
+    wrong = types.ModuleType(module.__name__)
+    wrong.__package__ = "quswap"
+    exec(compile(source.replace(old, new), module.__file__, "exec"), wrong.__dict__)
+    return wrong
 
 
 @pytest.mark.parametrize("builder,old,new", [
@@ -148,7 +160,7 @@ def _gates_with(old: str, new: str) -> types.ModuleType:
 def test_swap_decomposition_fails_when_a_factor_gate_is_wrong(builder, old, new, monkeypatch):
     # the factorization is composed from the maps the public builders use, so a
     # wrong map changes the gate users get and fails the check
-    wrong = _gates_with(old, new)
+    wrong = _module_with(gates, old, new)
     assert not np.array_equal(getattr(wrong, builder)(5).matrix, getattr(gates, builder)(5).matrix)
     monkeypatch.setattr(verify, "gates", wrong)
     assert verify.check_swap_decomposition(5).passed is False
@@ -164,3 +176,41 @@ def test_clone_check_fails_when_the_beamsplitter_blocks_are_wrong(monkeypatch):
                         lambda n, c, p: block(n, c, fock.BeamsplitterParam(p.t.conjugate())))
     assert not np.allclose(fock.beamsplitter(t, 4).matrix, right)
     assert verify.check_clone_oracle_equivalence(8).passed is False
+
+
+NO_CHECK_YET = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: no check yet")
+
+
+def _fault(name: str, old: str, new: str, failing: list[str], **kwargs):
+    """A fault of fock.py and the sorted fock checks it fails, all named in its test id."""
+    return pytest.param(old, new, failing, id=":".join([name, *failing]), **kwargs)
+
+
+# a fault that no check catches yet is an xfail, so that the change that adds
+# its check must flip it
+FOCK_FAULTS = [
+    _fault("exchange-v2-without-pi", "_phase_diagonal(theta + math.pi, 2, c)",
+           "_phase_diagonal(theta, 2, c)", ["exchange-convergence"]),
+    _fault("block-modulus-negated", "_spectral_exp(off, p.modulus,", "_spectral_exp(off, -p.modulus,",
+           ["clone-coherent-marginal", "clone-oracle-equivalence", "exchange-convergence"]),
+    _fault("block-phase-negated", "p.modulus, p.phase, n1)", "p.modulus, -p.phase, n1)",
+           ["clone-oracle-equivalence"]),
+    _fault("clone-v2-without-pi", "_phase_diagonal(p.phase + math.pi, 2, c)",
+           "_phase_diagonal(p.phase, 2, c)", ["clone-coherent-marginal", "clone-oracle-equivalence"]),
+    _fault("exchange-v1-theta-sign", "_phase_diagonal(-theta, 1, c)",
+           "_phase_diagonal(theta, 1, c)", [], marks=NO_CHECK_YET),
+    _fault("exchange-not-half-wave", "t = (math.pi / 2) * complex",
+           "t = (0.49 * math.pi) * complex", [], marks=NO_CHECK_YET),
+    _fault("coherent-state-conjugated", "amp[n - 1] * z / math.sqrt(n)",
+           "amp[n - 1] * z.conjugate() / math.sqrt(n)", [], marks=NO_CHECK_YET),
+    # test_exchange_clone.py::test_mode2_marginal_of_complex_states catches this one
+    _fault("mode2-marginal-transposed", "v.T @ v.conj()", "v.T.conj() @ v", [], marks=NO_CHECK_YET),
+]
+
+
+@pytest.mark.parametrize("old,new,failing", FOCK_FAULTS)
+def test_fock_checks_catch_a_wrong_fock(old, new, failing, monkeypatch):
+    monkeypatch.setattr(verify, "fock", _module_with(fock, old, new))
+    caught = sorted(r.check for r in verify.fock_checks(16) if not r.passed)
+    assert caught, "no fock check fails"
+    assert caught == failing
