@@ -13,9 +13,9 @@ Complex numbers on the command line accept ``i`` or ``j`` suffixes
 ``{"dim": n, "entries": [[re, im], ...]}`` row-major; JSON floats use Python's
 shortest round-trip form and CSV entries ``%.17g`` (17 digits). Output is
 deterministic byte-for-byte except for the wall-time fields in verification
-reports. ``gate`` writes its dump row by row, so its peak memory is the dense
-d^2-square matrix plus one row (~330 MB at d = 64); the gate is built before
-the first write.
+reports. ``gate`` writes its dump from the gate's stored rows, one row at a
+time, and never builds the dense d^2-square matrix (~30 MB for the whole
+process at d = 64); the gate is built before the first write.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage or input errors, including a ValueError raised by the library on
@@ -97,16 +97,14 @@ def array_payload(a: np.ndarray) -> dict:
     return {"dim": a.shape[0], "entries": a.view(np.float64).reshape(-1, 2).tolist()}
 
 
-def _matrix_rows(m: np.ndarray, zero: str, entry) -> Iterator[list[str]]:
-    """Each row of ``m`` as text: ``zero`` where an entry's bits are +0.0, else ``entry(z)``.
+def _matrix_rows(gate: gates.QuditGate, zero: str, entry) -> Iterator[list[str]]:
+    """Each row of ``gate`` as text: ``entry(z)`` for each stored entry, ``zero`` elsewhere.
 
-    Each row's nonzero entries are found from its bit pattern, so ``-0.0`` is
-    formatted rather than taken for zero; no list of all d^4 entries is built.
+    ``entry(0j)`` is ``zero`` and -0.0 keeps its sign; no list of all d^4 entries is built.
     """
-    for row in np.ascontiguousarray(m, dtype=complex):
-        fields = [zero] * len(row)
-        cols = np.flatnonzero(row.view(np.uint64).reshape(-1, 2).any(axis=1))
-        for j, z in zip(cols.tolist(), row[cols].tolist()):
+    for cols, values in zip(gate._cols, gate._values):
+        fields = [zero] * gate.dim
+        for j, z in zip(cols.tolist(), values.tolist()):
             fields[j] = entry(z)
         yield fields
 
@@ -115,12 +113,11 @@ def cmd_gate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     """The dump as text chunks, one per matrix row; the gate is built before the first chunk."""
     gate = GATE_BUILDERS[args.name](args.d)
     if args.format == "csv":
-        rows = _matrix_rows(gate.matrix, "0+0i", lambda z: f"{z.real:.17g}{z.imag:+.17g}i")
+        rows = _matrix_rows(gate, "0+0i", lambda z: f"{z.real:.17g}{z.imag:+.17g}i")
         return (",".join(fields) + "\n" for fields in rows), 0
     # the JSON of ``array_payload``, written one row of entries at a time
-    header = json.dumps({"gate": gate.label, "d": gate.d, "dim": gate.matrix.shape[0],
-                         "entries": []})[:-2]
-    rows = _matrix_rows(gate.matrix, "[0.0, 0.0]", lambda z: f"[{z.real!r}, {z.imag!r}]")
+    header = json.dumps({"gate": gate.label, "d": gate.d, "dim": gate.dim, "entries": []})[:-2]
+    rows = _matrix_rows(gate, "[0.0, 0.0]", lambda z: f"[{z.real!r}, {z.imag!r}]")
     chunks = ((", " if i else "") + ", ".join(fields) for i, fields in enumerate(rows))
     return itertools.chain([header], chunks, ["]}\n"]), 0
 

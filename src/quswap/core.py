@@ -46,6 +46,7 @@ class QuditDim:
     d: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d", _integer(self.d, "qudit dimension"))
         if self.d < 2:
             raise ValueError(f"qudit dimension must be >= 2, got {self.d}")
 
@@ -54,9 +55,16 @@ class QuditDim:
         return complex(np.exp(2j * np.pi / self.d))
 
 
+def _integer(x, what: str) -> int:
+    """``x`` as an int: 8, numpy ints and 8.0 pass; 8.9, inf, nan and "8" raise ValueError."""
+    if isinstance(x, str) or not float(x).is_integer():
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def _levels(d) -> int:
-    """Accept either a bare int or a QuditDim and return the level count."""
-    return (d if isinstance(d, QuditDim) else QuditDim(int(d))).d
+    """Accept either an integral level count or a QuditDim and return the level count."""
+    return (d if isinstance(d, QuditDim) else QuditDim(d)).d
 
 
 def _as_square(a) -> np.ndarray:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _igam
-from .core import TruncationWarning, tensor_op
+from .core import TruncationWarning, _integer, tensor_op
 
 __all__ = [
     "BeamsplitterParam",
@@ -73,6 +73,7 @@ class FockCutoff:
     n_max: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_max", _integer(self.n_max, "cutoff"))
         if self.n_max < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.n_max}")
 
@@ -86,7 +87,7 @@ class FockCutoff:
 
 
 def _cutoff(c) -> FockCutoff:
-    return c if isinstance(c, FockCutoff) else FockCutoff(int(c))
+    return c if isinstance(c, FockCutoff) else FockCutoff(c)
 
 
 class ModeOperator:
@@ -381,6 +382,8 @@ def beamsplitter_blockwise(t, cutoff) -> ModeOperator:
 
 def _phase_diagonal(theta: float, mode: int, c: FockCutoff) -> np.ndarray:
     """Diagonal of V_mode(theta) = exp(i theta N_mode) on the two-mode space."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
     phases = np.exp(1j * theta * np.arange(c.dim))
@@ -416,6 +419,8 @@ def exchange_protocol(theta: float, cutoff) -> ModeOperator:
     their truncation weight.
     """
     c = _cutoff(cutoff)
+    if not math.isfinite(theta):  # before fmod, which raises a bare "math domain error"
+        raise ValueError(f"theta must be finite, got {theta!r}")
     theta = math.fmod(theta, math.tau)
     t = (math.pi / 2) * complex(math.cos(theta), math.sin(theta))
     phases = _phase_diagonal(-theta, 1, c) * _phase_diagonal(theta + math.pi, 2, c)

@@ -28,8 +28,6 @@ it holds exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import _levels, is_unitary
@@ -48,30 +46,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class QuditGate:
-    """A named gate on one or two qudits: level count, dense matrix, label."""
+    """A named gate on one or two qudits, kept as its rows: row i holds ``values[i]`` in
+    the columns ``cols[i]``, two (dim, k) arrays; ``matrix`` is assembled on each read."""
 
-    d: int
-    matrix: np.ndarray
-    label: str
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
+    def __init__(self, d: int, matrix, label: str) -> None:
+        m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"gate matrix must be square, got {m.shape}")
-        if m.shape[0] not in (self.d, self.d * self.d):
-            raise ValueError(
-                f"gate matrix dim {m.shape[0]} is neither d={self.d} nor d^2"
-            )
-        object.__setattr__(self, "matrix", m)
+        if m.shape[0] not in (d, d * d):
+            raise ValueError(f"gate matrix dim {m.shape[0]} is neither d={d} nor d^2")
+        self.d, self.label, self.dim = d, label, len(m)
+        self._cols, self._values = np.broadcast_to(np.arange(len(m)), m.shape), m
+
+    @classmethod
+    def _from_rows(cls, d: int, cols, values, label: str) -> QuditGate:
+        gate = cls.__new__(cls)
+        gate.d, gate.label, gate.dim, gate._cols, gate._values = d, label, len(cols), cols, values
+        return gate
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self) -> np.ndarray:
+        m = np.zeros((self.dim, self.dim), dtype=complex)
+        np.put_along_axis(m, self._cols, self._values, axis=1)
+        return m
 
     def apply(self, state) -> np.ndarray:
-        return self.matrix @ np.asarray(state, dtype=complex)
+        state = np.asarray(state, dtype=complex)
+        if state.shape[:1] != (self.dim,):
+            raise ValueError(f"state of shape {state.shape} does not fit dimension {self.dim}")
+        return np.einsum("ik,ik...->i...", self._values, state[self._cols])
 
 
 def _index_map(n: int, label: str) -> np.ndarray:
@@ -104,11 +108,8 @@ def _index_map(n: int, label: str) -> np.ndarray:
 def _permutation(d, label: str) -> QuditGate:
     """The 0/1 gate on d-level qudits that sends basis index i to map[i]."""
     n = _levels(d)
-    dest = _index_map(n, label)
-    dim = len(dest)
-    m = np.zeros((dim, dim), dtype=complex)
-    m[dest, np.arange(dim)] = 1.0
-    return QuditGate(n, m, label)
+    cols = np.argsort(_index_map(n, label))[:, None]  # row map[i] holds its one in column i
+    return QuditGate._from_rows(n, cols, np.ones(cols.shape, dtype=complex), label)
 
 
 def sigma1(d) -> QuditGate:
@@ -119,7 +120,8 @@ def sigma1(d) -> QuditGate:
 def sigma3(d) -> QuditGate:
     """Clock gate diag(1, zeta, ..., zeta^(d-1)). Reduces to Pauli Z at d=2."""
     n = _levels(d)
-    return QuditGate(n, np.diag(np.exp(2j * np.pi * np.arange(n) / n)), "sigma3")
+    k = np.arange(n)[:, None]
+    return QuditGate._from_rows(n, k, np.exp(2j * np.pi * k / n), "sigma3")
 
 
 def reverse_gate(d) -> QuditGate:
@@ -163,8 +165,8 @@ def swap_composed(d) -> QuditGate:
 def controlled_unitary(u, d=None) -> QuditGate:
     """Controlled-U gate: |a> (x) |b> -> |a> (x) U^a |b> for U in U(d).
 
-    Block-diagonal with blocks U^0, U^1, ..., U^(d-1); powers are built by
-    repeated multiplication. Rejects non-unitary U.
+    Block-diagonal: row a*d + i is row i of U^a, in block a's columns. Powers
+    are built by repeated multiplication. Rejects non-unitary U.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2:
@@ -174,20 +176,22 @@ def controlled_unitary(u, d=None) -> QuditGate:
         raise ValueError(f"control matrix must be {n}x{n}, got {u.shape}")
     if not is_unitary(u, 1e-12):
         raise ValueError("controlled_unitary requires a unitary control matrix")
-    m = np.zeros((n * n, n * n), dtype=complex)
+    values = np.empty((n, n, n), dtype=complex)
     power = np.eye(n, dtype=complex)
     for a in range(n):
-        m[a * n : (a + 1) * n, a * n : (a + 1) * n] = power
+        values[a] = power
         power = u @ power
-    return QuditGate(n, m, "controlled-unitary")
+    cols = np.arange(n * n)[:, None] // n * n + np.arange(n)
+    return QuditGate._from_rows(n, cols, values.reshape(n * n, n), "controlled-unitary")
 
 
 def conjugated_controlled_unitary(u, d=None) -> QuditGate:
     """S C_U S, which retargets the control: |a> (x) |b> -> U^b |a> (x) |b>.
 
-    S is a permutation and an involution, so the conjugation relabels rows
-    and columns of C_U by the swap's index map.
+    S is a permutation and an involution, so the conjugation relabels C_U by
+    the swap's index map p: row i is row p[i], and column c goes to p[c].
     """
     cu = controlled_unitary(u, d)
     p = _index_map(cu.d, "swap")
-    return QuditGate(cu.d, cu.matrix[np.ix_(p, p)], "conjugated-controlled-unitary")
+    label = "conjugated-controlled-unitary"
+    return QuditGate._from_rows(cu.d, p[cu._cols[p]], cu._values[p], label)

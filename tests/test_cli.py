@@ -3,15 +3,15 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quswap import cli
+from quswap import cli, gates
 
 
 # a JSON array holding one 400-digit integer, beyond float range
@@ -237,7 +237,7 @@ def test_gate_writer_matches_whole_payload_serialization(parts):
     m = np.array(parts).view(complex)
     n = math.isqrt(m.size)
     m = m.reshape(n, n)
-    gate = SimpleNamespace(label="random", d=2, matrix=m)
+    gate = gates.QuditGate(n, m, "random")
 
     def dump(fmt):
         with pytest.MonkeyPatch.context() as mp:
@@ -246,7 +246,7 @@ def test_gate_writer_matches_whole_payload_serialization(parts):
             assert cli.main(["gate", "--name", "swap", "--d", "2", "--format", fmt]) == 0
             return sys.stdout.getvalue()
 
-    assert dump("json") == json.dumps({"gate": "random", "d": 2, **cli.array_payload(m)}) + "\n"
+    assert dump("json") == json.dumps({"gate": "random", "d": n, **cli.array_payload(m)}) + "\n"
     assert dump("csv") == "".join(
         ",".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row.tolist()) + "\n" for row in m)
 
@@ -274,6 +274,24 @@ def test_gate_dump_is_written_one_row_at_a_time(fmt, monkeypatch):
     row, header = len(out) // 1024, len('{"gate": "swap", "d": 32, "dim": 1024, "entries": [')
     assert len(sink.lengths) >= 1024
     assert max(sink.lengths) <= row + header
+
+
+@pytest.mark.parametrize("build", [
+    lambda out: cli.main(["gate", "--name", "swap", "--d", "64", "--out", out]),
+    lambda out: cli.main(["gate", "--name", "cshift-rev", "--d", "64", "--format", "csv",
+                          "--out", out]),
+    lambda out: gates.controlled_unitary(np.eye(64)),
+    lambda out: gates.conjugated_controlled_unitary(np.eye(64)),
+], ids=["swap-json", "cshift-rev-csv", "controlled-unitary", "conjugated-controlled-unitary"])
+def test_d64_gates_are_built_without_a_dense_matrix(build, tmp_path):
+    # a dense d^2-square complex matrix takes 256 MB at d = 64
+    tracemalloc.start()
+    try:
+        build(str(tmp_path / "gate.out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_gate_writes_file(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quswap import core
+from quswap import core, fock, gates
 
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -287,3 +287,28 @@ def test_root_of_unity_closes(d):
 def test_qudit_dim_rejects_small_d():
     with pytest.raises(ValueError):
         core.QuditDim(1)
+
+
+# each sized constructor with a reader of the size it was given
+SIZED = [
+    (core.QuditDim, lambda q: q.d),
+    (gates.sigma1, lambda g: g.d),
+    (fock.FockCutoff, lambda c: c.n_max),
+    (lambda n: fock.coherent_state(0.5, n), lambda v: len(v) - 1),
+]
+SIZED_IDS = ["QuditDim", "sigma1", "FockCutoff", "coherent_state"]
+
+
+@pytest.mark.parametrize("build, size", SIZED, ids=SIZED_IDS)
+@pytest.mark.parametrize("bad", [2.5, 8.9, math.inf, math.nan, "8"])
+def test_non_integral_sizes_are_rejected(build, size, bad):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build(bad)
+
+
+@pytest.mark.parametrize("build, size", SIZED, ids=SIZED_IDS)
+@pytest.mark.parametrize("good", [8, np.int64(8), 8.0, np.float64(8.0)],
+                         ids=["int", "numpy-int", "float", "numpy-float"])
+def test_integral_sizes_are_accepted(build, size, good):
+    n = size(build(good))
+    assert n == 8 and type(n) is int

@@ -484,6 +484,16 @@ def test_phase_op_rejects_bad_mode():
         fock.phase_op(0.1, 3, CUT)
 
 
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("build", [
+    lambda theta: fock.exchange_protocol(theta, CUT),
+    lambda theta: fock.phase_op(theta, 1, CUT),
+], ids=["exchange_protocol", "phase_op"])
+def test_non_finite_theta_is_rejected(build, theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        build(theta)
+
+
 # ---------------------------------------------------------------------------
 # unitarity of every unitary constructor
 # ---------------------------------------------------------------------------

@@ -303,6 +303,22 @@ def test_permutation_gates_map_basis_states_by_definition(dab):
         assert np.array_equal(builder(d).apply(inp), want), builder.__name__
 
 
+@pytest.mark.parametrize("build", [
+    gates.sigma3,
+    gates.swap_composed,
+    lambda d: gates.conjugated_controlled_unitary(haar_unitary(d, 7)),
+    lambda d: gates.QuditGate(d, np.arange(d * d).reshape(d, d), "dense"),
+], ids=["sigma3", "swap_composed", "conjugated_controlled_unitary", "dense"])
+def test_apply_matches_the_matrix_on_state_columns(build):
+    gate = build(3)
+    rng = np.random.default_rng(3)
+    states = rng.standard_normal((gate.dim, 4)) + 1j * rng.standard_normal((gate.dim, 4))
+    assert core.max_abs(gate.apply(states) - gate.matrix @ states) <= 1e-12
+    assert core.max_abs(gate.apply(states[:, 0]) - gate.matrix @ states[:, 0]) <= 1e-12
+    with pytest.raises(ValueError, match="does not fit"):
+        gate.apply(np.ones(gate.dim + 1))
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_all_gates_unitary(d):
     for builder in PERMUTATION_GATES + [gates.sigma3]:
