@@ -13,7 +13,7 @@ Complex numbers on the command line accept ``i`` or ``j`` suffixes
 ``{"dim": n, "entries": [[re, im], ...]}`` row-major; JSON floats use Python's
 shortest round-trip form and CSV entries ``%.17g`` (17 digits). Output is
 deterministic byte-for-byte except for the wall-time fields in verification
-reports. ``gate`` writes its dump from the gate's stored rows, one row at a
+reports. ``gate`` writes its dump from the gate's stored entries, one row at a
 time, and never builds the dense d^2-square matrix (~30 MB for the whole
 process at d = 64); the gate is built before the first write.
 
@@ -39,7 +39,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import fock, gates, verify
-from .core import TruncationWarning, fidelity, tensor_state
+from .core import TruncationWarning, _pair, fidelity, tensor_state
 
 __all__ = ["main"]
 
@@ -87,10 +87,6 @@ def parse_angle(text: str) -> float:
     return value
 
 
-def complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def array_payload(a: np.ndarray) -> dict:
     """``{"dim": n, "entries": [[re, im], ...]}`` of a complex matrix or vector, row-major."""
     a = np.ascontiguousarray(a, dtype=complex)
@@ -102,7 +98,13 @@ def _matrix_rows(gate: gates.QuditGate, zero: str, entry) -> Iterator[list[str]]
 
     ``entry(0j)`` is ``zero`` and -0.0 keeps its sign; no list of all d^4 entries is built.
     """
-    for cols, values in zip(gate._cols, gate._values):
+    entries = [None] * gate.dim  # each row's (cols, values)
+    for rows, cols, values in gate._groups:
+        if values.ndim == 1:  # one entry per row
+            cols, values = cols[:, None], values[:, None]
+        for i, c, v in zip(rows.tolist(), np.broadcast_to(cols, values.shape), values):
+            entries[i] = c, v
+    for cols, values in entries:
         fields = [zero] * gate.dim
         for j, z in zip(cols.tolist(), values.tolist()):
             fields[j] = entry(z)
@@ -156,8 +158,8 @@ def cmd_exchange(args: argparse.Namespace) -> tuple[dict, int]:
     w1 = fock.coherent_truncation_weight(args.z1, n_max)
     w2 = fock.coherent_truncation_weight(args.z2, n_max)
     payload = {
-        "z1": complex_pair(args.z1),
-        "z2": complex_pair(args.z2),
+        "z1": _pair(args.z1),
+        "z2": _pair(args.z2),
         "theta": args.theta,
         "n_max": n_max,
         "fidelity": fidelity(target, exchanged),
@@ -218,7 +220,7 @@ def cmd_clone(args: argparse.Namespace) -> tuple[dict, int]:
     if args.z is not None:
         x = fock.coherent_state(args.z, n_max)
         _advise_cutoff(n_max, z=args.z)
-        source = {"coherent_z": complex_pair(args.z)}
+        source = {"coherent_z": _pair(args.z)}
     else:
         try:
             x = _load_coefficients(args.input, n_max + 1)

@@ -1,8 +1,8 @@
-"""Dense complex linear algebra shared by the qudit and Fock modules.
+"""Linear algebra shared by the qudit and Fock modules, and the operator store of both.
 
-Operators are plain square ``numpy`` arrays of ``complex128``; pure states
-are 1-d complex vectors with unit norm. Everything here is a pure function
-over immutable inputs, so it is safe to share results across threads.
+The functions take plain square ``complex128`` arrays and 1-d unit state vectors, and
+are pure, so results are safe to share across threads. ``gates.QuditGate`` and
+``fock.ModeOperator`` keep their operators in ``_Operator``, by structure.
 """
 
 from __future__ import annotations
@@ -53,6 +53,51 @@ class QuditDim:
     @property
     def zeta(self) -> complex:
         return complex(np.exp(2j * np.pi / self.d))
+
+
+class _Operator:
+    """A labeled square operator kept as groups ``(rows, cols, values)`` whose rows
+    partition the basis. A 2-d ``values`` is a dense block on rows x cols; a 1-d one
+    holds one entry per row, ``values[i]`` in row ``rows[i]``, column ``cols[i]``.
+    ``matrix`` is assembled on each read. ``size`` is the subclass's size attribute,
+    ``d=`` or ``cutoff=``.
+    """
+
+    def __init__(self, groups: list, label: str, **size) -> None:
+        vars(self).update(size)
+        self.label, self._groups = label, groups
+        self.dim = sum(len(rows) for rows, _, _ in groups)
+
+    @classmethod
+    def _from_groups(cls, groups: list, label: str, **size):
+        """The operator kept as ``groups``, without the public constructor's checks."""
+        op = cls.__new__(cls)
+        _Operator.__init__(op, groups, label, **size)
+        return op
+
+    @property
+    def matrix(self) -> np.ndarray:
+        m = np.zeros((self.dim, self.dim), dtype=complex)
+        for rows, cols, values in self._groups:
+            m[np.ix_(rows, cols) if values.ndim == 2 else (rows, cols)] = values
+        return m
+
+    def apply(self, state) -> np.ndarray:
+        state = np.asarray(state, dtype=complex)
+        if state.shape[:1] != (self.dim,):
+            raise ValueError(f"state of shape {state.shape} does not fit dimension {self.dim}")
+        out = np.empty_like(state)
+        for rows, cols, values in self._groups:
+            if values.ndim == 2:
+                out[rows] = values @ state[cols]
+            else:
+                out[rows] = values.reshape((-1,) + (1,) * (state.ndim - 1)) * state[cols]
+        return out
+
+
+def _pair(z: complex) -> list[float]:
+    """``[re, im]`` of a complex number, as the JSON payloads write it."""
+    return [float(z.real), float(z.imag)]
 
 
 def _integer(x, what: str) -> int:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _igam
-from .core import TruncationWarning, _integer, tensor_op
+from .core import TruncationWarning, _integer, _Operator, tensor_op
 
 __all__ = [
     "BeamsplitterParam",
@@ -90,56 +90,21 @@ def _cutoff(c) -> FockCutoff:
     return c if isinstance(c, FockCutoff) else FockCutoff(c)
 
 
-class ModeOperator:
-    """A labeled operator on the truncated one- or two-mode space.
+class ModeOperator(_Operator):
+    """A labeled operator on the truncated one- or two-mode space, in the ``core._Operator``
+    store: a matrix given here is one block, the beamsplitter and the exchange keep one
+    block per total photon number, and the squeeze one block per parity."""
 
-    Kept as (indices, block) pairs whose index arrays partition the basis.
-    A dense matrix becomes one block over every index; the two-mode
-    operators that conserve total photon number keep one block per total,
-    and the squeeze one block per parity (see ``_from_blocks``). ``apply``
-    multiplies a state block by block, and ``matrix`` is assembled from the
-    blocks on each read.
-    """
-
-    def __init__(self, cutoff: FockCutoff, matrix, label: str) -> None:
+    def __init__(self, cutoff, matrix, label: str) -> None:
+        cutoff = _cutoff(cutoff)
         m = np.asarray(matrix, dtype=complex)
         if m.shape not in ((cutoff.dim, cutoff.dim), (cutoff.dim2, cutoff.dim2)):
             raise ValueError(
                 f"operator shape {m.shape} fits neither one nor two modes "
                 f"at n_max={cutoff.n_max}"
             )
-        self.cutoff = cutoff
-        self.label = label
-        self._blocks = [(np.arange(len(m)), m)]
-
-    @classmethod
-    def _from_blocks(cls, cutoff: FockCutoff, blocks, label: str) -> ModeOperator:
-        """Operator from (indices, block) pairs whose indices partition the basis."""
-        op = cls.__new__(cls)
-        op.cutoff = cutoff
-        op.label = label
-        op._blocks = blocks
-        return op
-
-    @property
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for idx, block in self._blocks:
-            m[np.ix_(idx, idx)] = block
-        return m
-
-    @property
-    def dim(self) -> int:
-        return sum(len(idx) for idx, _ in self._blocks)
-
-    def apply(self, state) -> np.ndarray:
-        state = np.asarray(state, dtype=complex)
-        if state.shape[:1] != (self.dim,):
-            raise ValueError(f"state of shape {state.shape} does not fit dimension {self.dim}")
-        out = np.empty_like(state)
-        for idx, block in self._blocks:
-            out[idx] = block @ state[idx]
-        return out
+        every = np.arange(len(m))
+        super().__init__([(every, every, m)], label, cutoff=cutoff)
 
 
 @dataclass(frozen=True)
@@ -294,8 +259,8 @@ def squeeze(w: complex, cutoff) -> ModeOperator:
     for levels in (np.arange(0, c.dim, 2), np.arange(1, c.dim, 2)):
         off = np.sqrt((levels[:-1] + 1) * (levels[:-1] + 2)) / 2
         steps = np.arange(len(levels))
-        blocks.append((levels, _spectral_exp(off, abs(w), cmath.phase(w), steps)))
-    return ModeOperator._from_blocks(c, blocks, "squeeze")
+        blocks.append((levels, levels, _spectral_exp(off, abs(w), cmath.phase(w), steps)))
+    return ModeOperator._from_groups(blocks, "squeeze", cutoff=c)
 
 
 def schwinger_su2(cutoff) -> tuple[ModeOperator, ModeOperator, ModeOperator]:
@@ -337,8 +302,8 @@ def _spectral_exp(off: np.ndarray, modulus: float, phase: float,
 
 
 def _beamsplitter_block(n: int, c: FockCutoff,
-                        p: BeamsplitterParam) -> tuple[np.ndarray, np.ndarray]:
-    """Block of U_J(t) on total photon number n, as (indices, block).
+                        p: BeamsplitterParam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block of U_J(t) on total photon number n, as the group (indices, indices, block).
 
     The block spans the first-mode occupations n1 that the cutoff keeps, in
     rising order. There the generator t a1^dag a2 - conj(t) a2^dag a1 equals
@@ -347,7 +312,8 @@ def _beamsplitter_block(n: int, c: FockCutoff,
     """
     n1 = np.arange(max(0, n - c.n_max), min(n, c.n_max) + 1)
     off = np.sqrt((n1[:-1] + 1) * (n - n1[:-1]))
-    return n1 * c.dim + (n - n1), _spectral_exp(off, p.modulus, p.phase, n1)
+    idx = n1 * c.dim + (n - n1)
+    return idx, idx, _spectral_exp(off, p.modulus, p.phase, n1)
 
 
 def beamsplitter(t, cutoff) -> ModeOperator:
@@ -372,7 +338,7 @@ def beamsplitter(t, cutoff) -> ModeOperator:
     c = _cutoff(cutoff)
     p = _param(t)
     blocks = [_beamsplitter_block(n, c, p) for n in range(2 * c.n_max + 1)]
-    return ModeOperator._from_blocks(c, blocks, "beamsplitter")
+    return ModeOperator._from_groups(blocks, "beamsplitter", cutoff=c)
 
 
 def beamsplitter_blockwise(t, cutoff) -> ModeOperator:
@@ -424,8 +390,8 @@ def exchange_protocol(theta: float, cutoff) -> ModeOperator:
     theta = math.fmod(theta, math.tau)
     t = (math.pi / 2) * complex(math.cos(theta), math.sin(theta))
     phases = _phase_diagonal(-theta, 1, c) * _phase_diagonal(theta + math.pi, 2, c)
-    blocks = [(idx, phases[idx, None] * block) for idx, block in beamsplitter(t, c)._blocks]
-    return ModeOperator._from_blocks(c, blocks, "exchange")
+    blocks = [(idx, idx, phases[idx, None] * b) for idx, _, b in beamsplitter(t, c)._groups]
+    return ModeOperator._from_groups(blocks, "exchange", cutoff=c)
 
 
 def imperfect_clone_numeric(x, t, cutoff) -> np.ndarray:
@@ -454,7 +420,7 @@ def imperfect_clone_numeric(x, t, cutoff) -> np.ndarray:
     v2 = _phase_diagonal(p.phase + math.pi, 2, c)
     out = np.zeros(c.dim2, dtype=complex)
     for n in np.flatnonzero(x):
-        idx, block = _beamsplitter_block(n, c, p)
+        idx, _, block = _beamsplitter_block(n, c, p)
         out[idx] = x[n] * v2[idx] * block[:, -1]
     return out
 

@@ -22,15 +22,15 @@ every controlled-unitary gate, and whether it generates all of U(d^2).
 them.
 
 Each permutation gate is built from an integer index map, all written once in
-``_index_map``, and the six-gate product composes the builders' own maps, so
-it holds exactly.
+``_index_map``, and kept as that map, one entry per row. The six-gate product
+composes the builders' own maps, so it holds exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import _levels, is_unitary
+from .core import _levels, _Operator, is_unitary
 
 __all__ = [
     "QuditGate",
@@ -46,36 +46,20 @@ __all__ = [
 ]
 
 
-class QuditGate:
-    """A named gate on one or two qudits, kept as its rows: row i holds ``values[i]`` in
-    the columns ``cols[i]``, two (dim, k) arrays; ``matrix`` is assembled on each read."""
+class QuditGate(_Operator):
+    """A named gate on one or two d-level qudits, in the ``core._Operator`` store: the
+    permutations and ``sigma3`` keep one entry per row, the controlled-U gates one block
+    per control value, and a matrix given here is one block."""
 
     def __init__(self, d: int, matrix, label: str) -> None:
+        d = _levels(d)
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"gate matrix must be square, got {m.shape}")
         if m.shape[0] not in (d, d * d):
             raise ValueError(f"gate matrix dim {m.shape[0]} is neither d={d} nor d^2")
-        self.d, self.label, self.dim = d, label, len(m)
-        self._cols, self._values = np.broadcast_to(np.arange(len(m)), m.shape), m
-
-    @classmethod
-    def _from_rows(cls, d: int, cols, values, label: str) -> QuditGate:
-        gate = cls.__new__(cls)
-        gate.d, gate.label, gate.dim, gate._cols, gate._values = d, label, len(cols), cols, values
-        return gate
-
-    @property
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        np.put_along_axis(m, self._cols, self._values, axis=1)
-        return m
-
-    def apply(self, state) -> np.ndarray:
-        state = np.asarray(state, dtype=complex)
-        if state.shape[:1] != (self.dim,):
-            raise ValueError(f"state of shape {state.shape} does not fit dimension {self.dim}")
-        return np.einsum("ik,ik...->i...", self._values, state[self._cols])
+        every = np.arange(len(m))
+        super().__init__([(every, every, m)], label, d=d)
 
 
 def _index_map(n: int, label: str) -> np.ndarray:
@@ -108,8 +92,9 @@ def _index_map(n: int, label: str) -> np.ndarray:
 def _permutation(d, label: str) -> QuditGate:
     """The 0/1 gate on d-level qudits that sends basis index i to map[i]."""
     n = _levels(d)
-    cols = np.argsort(_index_map(n, label))[:, None]  # row map[i] holds its one in column i
-    return QuditGate._from_rows(n, cols, np.ones(cols.shape, dtype=complex), label)
+    rows = _index_map(n, label)  # row map[i] holds its one in column i
+    ones = np.ones(len(rows), dtype=complex)
+    return QuditGate._from_groups([(rows, np.arange(len(rows)), ones)], label, d=n)
 
 
 def sigma1(d) -> QuditGate:
@@ -120,8 +105,8 @@ def sigma1(d) -> QuditGate:
 def sigma3(d) -> QuditGate:
     """Clock gate diag(1, zeta, ..., zeta^(d-1)). Reduces to Pauli Z at d=2."""
     n = _levels(d)
-    k = np.arange(n)[:, None]
-    return QuditGate._from_rows(n, k, np.exp(2j * np.pi * k / n), "sigma3")
+    k = np.arange(n)
+    return QuditGate._from_groups([(k, k, np.exp(2j * np.pi * k / n))], "sigma3", d=n)
 
 
 def reverse_gate(d) -> QuditGate:
@@ -165,8 +150,8 @@ def swap_composed(d) -> QuditGate:
 def controlled_unitary(u, d=None) -> QuditGate:
     """Controlled-U gate: |a> (x) |b> -> |a> (x) U^a |b> for U in U(d).
 
-    Block-diagonal: row a*d + i is row i of U^a, in block a's columns. Powers
-    are built by repeated multiplication. Rejects non-unitary U.
+    Kept as its d blocks: block a is U^a on the indices a*d .. a*d + d - 1.
+    Powers are built by repeated multiplication. Rejects non-unitary U.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2:
@@ -176,22 +161,22 @@ def controlled_unitary(u, d=None) -> QuditGate:
         raise ValueError(f"control matrix must be {n}x{n}, got {u.shape}")
     if not is_unitary(u, 1e-12):
         raise ValueError("controlled_unitary requires a unitary control matrix")
-    values = np.empty((n, n, n), dtype=complex)
-    power = np.eye(n, dtype=complex)
+    blocks, power = [], np.eye(n, dtype=complex)
     for a in range(n):
-        values[a] = power
+        idx = np.arange(a * n, a * n + n)
+        blocks.append((idx, idx, power))
         power = u @ power
-    cols = np.arange(n * n)[:, None] // n * n + np.arange(n)
-    return QuditGate._from_rows(n, cols, values.reshape(n * n, n), "controlled-unitary")
+    return QuditGate._from_groups(blocks, "controlled-unitary", d=n)
 
 
 def conjugated_controlled_unitary(u, d=None) -> QuditGate:
     """S C_U S, which retargets the control: |a> (x) |b> -> U^b |a> (x) |b>.
 
     S is a permutation and an involution, so the conjugation relabels C_U by
-    the swap's index map p: row i is row p[i], and column c goes to p[c].
+    the swap's index map p: block a moves from the indices a*d + i to p of them,
+    i*d + a.
     """
     cu = controlled_unitary(u, d)
     p = _index_map(cu.d, "swap")
-    label = "conjugated-controlled-unitary"
-    return QuditGate._from_rows(cu.d, p[cu._cols[p]], cu._values[p], label)
+    blocks = [(p[rows], p[cols], block) for rows, cols, block in cu._groups]
+    return QuditGate._from_groups(blocks, "conjugated-controlled-unitary", d=cu.d)

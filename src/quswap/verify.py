@@ -96,10 +96,6 @@ def _check(suite: str, name: str, kind: str, tol: float | Callable[[], float]):
     return register
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def _random_states(rng: np.random.Generator, count: int, support: int,
                    dim: int) -> list[np.ndarray]:
     out = []
@@ -230,9 +226,9 @@ def check_beamsplitter_number_conservation(n_max: int) -> tuple[dict, float]:
     dev = 0.0
     for t in (0.9, 0.5 * np.exp(1j * math.pi / 3), (math.pi / 2) * np.exp(-1j * math.pi / 5)):
         # N1 + N2 is diagonal, so [U, N1 + N2]_ij = U_ij (n_j - n_i), and U is
-        # zero outside its (indices, block) pairs
-        for idx, block in fock.beamsplitter(complex(t), n_max)._blocks:
-            dev = max(dev, core.max_abs(block * (n_tot[idx] - n_tot[idx][:, None])))
+        # zero outside its (rows, cols, block) groups
+        for rows, cols, block in fock.beamsplitter(complex(t), n_max)._groups:
+            dev = max(dev, core.max_abs(block * (n_tot[cols] - n_tot[rows][:, None])))
     return {"n_max": n_max}, dev
 
 
@@ -251,7 +247,7 @@ def check_exchange_convergence(n_max: int) -> tuple[dict, float]:
             fids.append(core.fidelity(tgt, e.apply(inp)))
         for lo, hi in zip(fids, fids[1:]):
             violation = max(violation, lo - hi)
-    params = {"cutoffs": ladder, "pairs": [[_pair(z1), _pair(z2)] for z1, z2 in pairs]}
+    params = {"cutoffs": ladder, "pairs": [[core._pair(z1), core._pair(z2)] for z1, z2 in pairs]}
     return params, violation
 
 
@@ -277,7 +273,7 @@ def check_clone_oracle_equivalence(n_max: int) -> tuple[dict, float]:
         got = fock.imperfect_clone_numeric(x, t, n_max)
         want = fock.imperfect_clone_closed_form(x, t, n_max)
         worst = min(worst, core.fidelity(want, got))
-    return {"n_max": n_max, "seed": 20240602, "trials": 100, "t": _pair(complex(t))}, worst
+    return {"n_max": n_max, "seed": 20240602, "trials": 100, "t": core._pair(complex(t))}, worst
 
 
 @_check("fock", "clone-coherent-marginal", "fidelity", 1 - 1e-8)
@@ -295,7 +291,7 @@ def check_clone_coherent_marginal(n_max: int) -> tuple[dict, float]:
     rho2 = fock.mode2_marginal(out, n_max)
     target = fock.coherent_state(math.sin(t_abs) * z, n_max)
     overlap = float(np.real(np.vdot(target, rho2 @ target)))
-    return {"n_max": n_max, "z": _pair(complex(z)), "t_abs": t_abs}, overlap
+    return {"n_max": n_max, "z": core._pair(complex(z)), "t_abs": t_abs}, overlap
 
 
 def fock_checks(n_max: int = 32) -> list[VerificationReport]:

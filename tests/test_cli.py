@@ -22,6 +22,21 @@ OVERFLOWING_NORM_FILE = str(Path(__file__).parent / "data" / "overflowing_norm.j
 UNDERFLOWING_NORM_FILE = str(Path(__file__).parent / "data" / "underflowing_norm.json")
 # [0, 0]: the zero vector, which cannot be normalized
 ZERO_VECTOR_FILE = str(Path(__file__).parent / "data" / "zero_vector.json")
+# [] and {}: no coefficients at all
+EMPTY_ARRAY_FILE = str(Path(__file__).parent / "data" / "empty_array.json")
+EMPTY_OBJECT_FILE = str(Path(__file__).parent / "data" / "empty_object.json")
+# six coefficients, one more than the five levels of n_max = 4
+SIX_COEFFICIENTS_FILE = str(Path(__file__).parent / "data" / "six_coefficients.json")
+
+# what each bad coefficient file is rejected for
+COEFFICIENT_FILE_ERRORS = {
+    HUGE_INTEGER_FILE: "integer out of float range",
+    OVERFLOWING_NORM_FILE: "coefficients and their norm must be finite",
+    ZERO_VECTOR_FILE: "coefficient vector is zero",
+    EMPTY_ARRAY_FILE: "coefficient file must be a non-empty JSON array",
+    EMPTY_OBJECT_FILE: "coefficient file must be a non-empty JSON array",
+    SIX_COEFFICIENTS_FILE: "6 coefficients exceed the cutoff dimension 5",
+}
 
 
 def run_cli(capsys, *argv):
@@ -231,7 +246,7 @@ EDGE_FLOATS = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(parts=st.integers(1, 6).flatmap(
+@given(parts=st.integers(2, 6).flatmap(
     lambda n: st.lists(EDGE_FLOATS, min_size=2 * n * n, max_size=2 * n * n)))
 def test_gate_writer_matches_whole_payload_serialization(parts):
     m = np.array(parts).view(complex)
@@ -436,6 +451,9 @@ def test_non_finite_numbers_exit_2(argv, capsys):
         ({}, ["clone", "--input", HUGE_INTEGER_FILE, "--t-abs", "0.5"]),
         ({}, ["clone", "--input", OVERFLOWING_NORM_FILE, "--t-abs", "0.3", "--n-max", "4"]),
         ({}, ["clone", "--input", ZERO_VECTOR_FILE, "--t-abs", "0.3", "--n-max", "4"]),
+        ({}, ["clone", "--input", EMPTY_ARRAY_FILE, "--t-abs", "0.3", "--n-max", "4"]),
+        ({}, ["clone", "--input", EMPTY_OBJECT_FILE, "--t-abs", "0.3", "--n-max", "4"]),
+        ({}, ["clone", "--input", SIX_COEFFICIENTS_FILE, "--t-abs", "0.3", "--n-max", "4"]),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -449,7 +467,9 @@ def test_invalid_library_input_exits_2(env, argv, capsys, monkeypatch):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     if "--input" in argv:
-        assert argv[argv.index("--input") + 1] in err
+        path = argv[argv.index("--input") + 1]
+        reason = COEFFICIENT_FILE_ERRORS[path]
+        assert err == f"error: cannot read coefficient file {path}: {reason}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -122,6 +122,8 @@ def test_matmul_cnot_squares_to_identity():
 def test_matmul_rejects_dim_mismatch():
     with pytest.raises(ValueError):
         core.matmul(np.eye(2), np.eye(3))
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        core.matmul(np.eye(2), np.ones((2, 3)))
 
 
 def test_adjoint_of_identity():
@@ -295,8 +297,10 @@ SIZED = [
     (gates.sigma1, lambda g: g.d),
     (fock.FockCutoff, lambda c: c.n_max),
     (lambda n: fock.coherent_state(0.5, n), lambda v: len(v) - 1),
+    (lambda n: gates.QuditGate(n, np.eye(8), "x"), lambda g: g.d),
+    (lambda n: fock.ModeOperator(n, np.eye(9), "x"), lambda op: op.cutoff.n_max),
 ]
-SIZED_IDS = ["QuditDim", "sigma1", "FockCutoff", "coherent_state"]
+SIZED_IDS = ["QuditDim", "sigma1", "FockCutoff", "coherent_state", "QuditGate", "ModeOperator"]
 
 
 @pytest.mark.parametrize("build, size", SIZED, ids=SIZED_IDS)

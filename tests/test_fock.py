@@ -538,3 +538,9 @@ def test_beamsplitter_param():
 def test_mode_operator_validates_shape():
     with pytest.raises(ValueError):
         fock.ModeOperator(fock.FockCutoff(3), np.eye(5), "bad")
+    # an int cutoff is accepted and checked, as by every other Fock entry point
+    with pytest.raises(ValueError, match="fits neither one nor two modes at n_max=8"):
+        fock.ModeOperator(8, np.eye(10), "bad")
+    with pytest.raises(ValueError, match="cutoff must be >= 1"):
+        fock.ModeOperator(0, np.eye(1), "bad")
+    assert fock.ModeOperator(8, np.eye(81), "ok").cutoff == fock.FockCutoff(8)

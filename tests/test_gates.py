@@ -306,9 +306,11 @@ def test_permutation_gates_map_basis_states_by_definition(dab):
 @pytest.mark.parametrize("build", [
     gates.sigma3,
     gates.swap_composed,
+    lambda d: gates.controlled_unitary(haar_unitary(d, 7)),
     lambda d: gates.conjugated_controlled_unitary(haar_unitary(d, 7)),
     lambda d: gates.QuditGate(d, np.arange(d * d).reshape(d, d), "dense"),
-], ids=["sigma3", "swap_composed", "conjugated_controlled_unitary", "dense"])
+], ids=["sigma3", "swap_composed", "controlled_unitary", "conjugated_controlled_unitary",
+        "dense"])
 def test_apply_matches_the_matrix_on_state_columns(build):
     gate = build(3)
     rng = np.random.default_rng(3)
@@ -328,9 +330,19 @@ def test_all_gates_unitary(d):
 def test_gate_rejects_bad_dim():
     with pytest.raises(ValueError):
         gates.QuditGate(3, np.eye(4), "bad")
+    with pytest.raises(ValueError, match="must be square"):
+        gates.QuditGate(2, np.ones((2, 4)), "bad")
+    # the public constructor checks d as every builder does
+    with pytest.raises(ValueError, match="qudit dimension must be >= 2"):
+        gates.QuditGate(1, np.eye(1), "bad")
+    with pytest.raises(ValueError, match="must be an integer"):
+        gates.QuditGate(2.5, np.eye(2), "bad")
+    assert gates.QuditGate(core.QuditDim(2), np.eye(4), "ok").d == 2
     with pytest.raises(ValueError):
         gates.sigma1(1)
     with pytest.raises(ValueError):
         gates.controlled_unitary(np.eye(1))
+    with pytest.raises(ValueError, match="must be 2x2"):
+        gates.controlled_unitary(np.eye(3), 2)
     with pytest.raises(ValueError):
         gates.controlled_unitary(5)

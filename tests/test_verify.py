@@ -135,9 +135,10 @@ def test_number_conservation_check_fails_on_a_block_across_totals(monkeypatch):
     # |0,0> (total 0) and |0,1> (total 1) mixed by one unitary block
     mixing = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     rest = np.arange(2, cut.dim2)
-    blocks = [(np.array([0, 1]), mixing), (rest, np.eye(len(rest)))]
+    pair = np.array([0, 1])
+    blocks = [(pair, pair, mixing), (rest, rest, np.eye(len(rest)))]
     monkeypatch.setattr(fock, "beamsplitter", lambda t, cutoff: (
-        fock.ModeOperator._from_blocks(cut, blocks, "mixing")))
+        fock.ModeOperator._from_groups(blocks, "mixing", cutoff=cut)))
     report = verify.check_beamsplitter_number_conservation(n_max)
     assert report.passed is False
     assert report.metric == pytest.approx(1 / np.sqrt(2))
