@@ -54,7 +54,7 @@ GATE_BUILDERS = {
 }
 
 # inclusive bounds of the integer size flags, checked before anything is built
-BOUNDS = {"d": (2, 64), "d_max": (2, 16), "n_max": (1, 64)}
+BOUNDS = {"d": (2, 64), "d_max": (2, 64), "n_max": (1, 64)}
 
 # a coefficient file whose norm is off 1 by more than this is renormalized
 _RENORMALIZE_TOL = 1e-12
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     p_verify.add_argument("--suite", choices=("qudit", "fock", "all"), default="all")
-    p_verify.add_argument("--d-max", type=int, default=8, help="largest qudit dim (2..16)")
+    p_verify.add_argument("--d-max", type=int, default=8, help="largest qudit dim (2..64)")
 
     p_exch = sub.add_parser("exchange", help="swap two coherent states")
     p_exch.add_argument("--z1", type=parse_complex, required=True)

@@ -177,9 +177,9 @@ def max_abs(a) -> float:
 
 
 def is_unitary(a, tol: float = 1e-12) -> bool:
-    """True iff max-norm of (a^dag a - I) is at most tol."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    """True iff max-norm of (a^dag a - I) is at most tol, a finite positive number."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
     a = _as_square(a)
     return max_abs(a.conj().T @ a - np.eye(a.shape[0])) <= tol
 

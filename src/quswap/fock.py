@@ -360,11 +360,13 @@ def _phase_diagonal(theta: float, mode: int, c: FockCutoff) -> np.ndarray:
 def phase_op(theta: float, mode: int, cutoff) -> ModeOperator:
     """Two-mode phase rotation V_mode(theta) = exp(i theta N_mode).
 
-    Diagonal with entries e^(i theta n) on the selected mode; sends a
-    coherent parameter z to e^(i theta) z.
+    Diagonal with entries e^(i theta n) on the selected mode, kept as one entry per
+    row; sends a coherent parameter z to e^(i theta) z.
     """
     c = _cutoff(cutoff)
-    return ModeOperator(c, np.diag(_phase_diagonal(theta, mode, c)), f"phase-mode{mode}")
+    idx = np.arange(c.dim2)
+    return ModeOperator._from_groups([(idx, idx, _phase_diagonal(theta, mode, c))],
+                                     f"phase-mode{mode}", cutoff=c)
 
 
 def exchange_protocol(theta: float, cutoff) -> ModeOperator:

@@ -12,7 +12,7 @@ two-qudit exchange (swap) gate:
 with the rightmost factor applied first. ``swap_composed`` composes the
 index maps of the elementary gates and ``swap_direct`` builds S from its
 definition; the two agree entrywise, which the verification suite checks
-exactly for d up to 16. At d = 2 the reverse gate is the identity and the
+exactly for d up to 64. At d = 2 the reverse gate is the identity and the
 product degenerates to the familiar three-controlled-NOT construction.
 
 Two related questions are, to our knowledge, open and out of scope here:

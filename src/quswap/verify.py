@@ -135,46 +135,43 @@ def check_clock_adjoint_power(d: int) -> tuple[dict, float]:
 
 @_check("qudit", "swap-decomposition", "deviation", 0.0)
 def check_swap_decomposition(d: int) -> tuple[dict, float]:
-    """The six-gate product equals the directly built swap, entrywise exactly."""
-    return {"d": d}, core.max_abs(gates.swap_composed(d).matrix - gates.swap_direct(d).matrix)
+    """The six-gate product equals the direct swap exactly, on a probe of distinct entries."""
+    probe = np.arange(d * d)
+    composed, direct = gates.swap_composed(d), gates.swap_direct(d)
+    return {"d": d}, core.max_abs(composed.apply(probe) - direct.apply(probe))
 
 
 @_check("qudit", "swap-conjugation", "deviation", 0.0)
 def check_swap_conjugation(d: int) -> tuple[dict, float]:
     """S (1 x K) S = K x 1: the swap exchanges which qudit a local gate acts on."""
-    s = gates.swap_direct(d).matrix
-    k = gates.reverse_gate(d).matrix
-    eye = np.eye(d)
-    return {"d": d}, core.max_abs(s @ core.tensor_op(eye, k) @ s - core.tensor_op(k, eye))
+    s, k, probe = gates.swap_direct(d), gates.reverse_gate(d), np.arange(d * d)
+    # axis 0 of a (d, d)-reshaped state is the first qudit: K x 1 acts along it, 1 x K along axis 1
+    lhs = s.apply(k.apply(s.apply(probe).reshape(d, d).T).T.ravel())
+    rhs = k.apply(probe.reshape(d, d)).ravel()
+    return {"d": d}, core.max_abs(lhs - rhs)
 
 
 @_check("qudit", "basis-cloning", "deviation", 0.0)
 def check_basis_cloning(d: int) -> tuple[dict, float]:
     """C_Sigma (|a> (x) |0>) = |a> (x) |a> for every a."""
-    cs = gates.controlled_shift(d).matrix
-    dev = 0.0
-    for a in range(d):
-        got = cs @ core.tensor_state(core.basis_state(a, d), core.basis_state(0, d))
-        want = core.tensor_state(core.basis_state(a, d), core.basis_state(a, d))
-        dev = max(dev, core.max_abs(got - want))
-    return {"d": d}, dev
+    a = np.arange(d)
+    inputs, want = np.zeros((2, d * d, d))
+    inputs[a * d, a] = 1  # column a is |a> (x) |0>
+    want[a * d + a, a] = 1  # column a is |a> (x) |a>
+    return {"d": d}, core.max_abs(gates.controlled_shift(d).apply(inputs) - want)
 
 
 @_check("qudit", "permutation-structure", "deviation", 0.0)
 def check_permutation_structure(d: int) -> tuple[dict, float]:
-    """Sigma1, K, C_Sigma, C~_Sigma and S are exact 0/1 permutation matrices."""
-    dev = 0.0
+    """Sigma1, K, C_Sigma, C~_Sigma and both swaps are each kept as one index map of exact ones."""
+    ok = True
     for gate in (gates.sigma1(d), gates.reverse_gate(d), gates.controlled_shift(d),
-                 gates.controlled_shift_reversed(d), gates.swap_direct(d)):
-        m = gate.matrix
-        ok = (
-            np.all((m == 0) | (m == 1))
-            and np.all(m.sum(axis=0) == 1)
-            and np.all(m.sum(axis=1) == 1)
-        )
-        if not ok:
-            dev = max(dev, 1.0)
-    return {"d": d}, dev
+                 gates.controlled_shift_reversed(d), gates.swap_direct(d), gates.swap_composed(d)):
+        (rows, cols, values), *rest = gate._groups
+        every = np.arange(gate.dim)  # rows and cols must each be a permutation of it
+        ok = ok and not rest and values.ndim == 1 and bool(np.all(values == 1)) and all(
+            np.array_equal(np.sort(ix), every) for ix in (rows, cols))
+    return {"d": d}, 0.0 if ok else 1.0
 
 
 def _suite(suite: str, size: int) -> list[VerificationReport]:

@@ -342,7 +342,7 @@ def test_verify_fock_suite_passes(capsys):
 
 
 def test_verify_rejects_out_of_range_params(capsys):
-    code, _, err = run_cli(capsys, "verify", "--suite", "qudit", "--d-max", "17")
+    code, _, err = run_cli(capsys, "verify", "--suite", "qudit", "--d-max", "65")
     assert code == 2 and "--d-max" in err
     code, _, err = run_cli(capsys, "verify", "--suite", "fock", "--n-max", "65")
     assert code == 2 and "--n-max" in err
@@ -506,7 +506,7 @@ def test_command_that_exits_2_leaves_out_file_empty(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (["gate", "--name", "swap", "--d", "1"], "--d must be in 2..64, got 1"),
-    (["verify", "--d-max", "1"], "--d-max must be in 2..16, got 1"),
+    (["verify", "--d-max", "1"], "--d-max must be in 2..64, got 1"),
     (["clone", "--z", "0", "--t-abs", "0", "--n-max", "0"], "--n-max must be in 1..64, got 0"),
 ])
 def test_bound_errors_name_their_flag(argv, message, capsys):

@@ -162,8 +162,10 @@ def test_is_unitary_rejects_truncated_creation():
 
 
 def test_is_unitary_requires_positive_tol():
-    with pytest.raises(ValueError):
-        core.is_unitary(np.eye(2), 0.0)
+    # an infinite tolerance would pass any matrix, a NaN one fail every matrix silently
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite positive"):
+            core.is_unitary(5 * np.eye(2), tol)
 
 
 # ---------------------------------------------------------------------------

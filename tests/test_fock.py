@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -472,7 +473,14 @@ def test_phase_op_rotates_coherent_parameter():
     theta, alpha = 1.1, 0.8 - 0.2j
     spectator = fock.coherent_state(0.3, 32)
     inp = core.tensor_state(fock.coherent_state(alpha, 32), spectator)
-    out = fock.phase_op(theta, 1, 32).apply(inp)
+    # kept as its diagonal: the dense 1089-square operator alone would take 19 MB
+    tracemalloc.start()
+    try:
+        out = fock.phase_op(theta, 1, 32).apply(inp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     want = core.tensor_state(
         fock.coherent_state(np.exp(1j * theta) * alpha, 32), spectator
     )

@@ -129,6 +129,18 @@ def test_number_conservation_check_never_builds_the_dense_matrix():
     assert peak < 50 * 2**20
 
 
+def test_qudit_checks_at_d64_never_build_a_two_qudit_matrix():
+    # one dense 4096-square gate alone would take 268 MB
+    tracemalloc.start()
+    try:
+        reports = verify._suite("qudit", 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.check for r in reports if not r.passed] == []
+    assert peak < 50 * 2**20
+
+
 def test_number_conservation_check_fails_on_a_block_across_totals(monkeypatch):
     n_max = 2
     cut = fock.FockCutoff(n_max)
@@ -183,7 +195,7 @@ NO_CHECK_YET = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: no check y
 
 
 def _fault(name: str, old: str, new: str, failing: list[str], **kwargs):
-    """A fault of fock.py and the sorted fock checks it fails, all named in its test id."""
+    """A fault of a module's source and the sorted checks it fails, all named in its test id."""
     return pytest.param(old, new, failing, id=":".join([name, *failing]), **kwargs)
 
 
@@ -214,4 +226,39 @@ def test_fock_checks_catch_a_wrong_fock(old, new, failing, monkeypatch):
     monkeypatch.setattr(verify, "fock", _module_with(fock, old, new))
     caught = sorted(r.check for r in verify.fock_checks(16) if not r.passed)
     assert caught, "no fock check fails"
+    assert caught == failing
+
+
+NO_QUDIT_CHECK_YET = pytest.mark.xfail(strict=True, reason="ROADMAP item 3: no check yet")
+
+QUDIT_FAULTS = [
+    _fault("sigma1-backwards", "(i + 1) % n", "(i - 1) % n", ["weyl-commutation"]),
+    _fault("clock-conjugated", "np.exp(2j * np.pi * k / n)", "np.exp(-2j * np.pi * k / n)",
+           ["weyl-commutation"]),
+    _fault("reverse-is-identity", "k = -i % n", "k = i % n", ["swap-decomposition"]),
+    _fault("cshift-subtracts", "a * n + (a + b) % n", "a * n + (a - b) % n",
+           ["swap-decomposition"]),
+    _fault("swap-composed-without-1xk", '[k1[cs[_index_map(n, "1 x k")]]]', "[k1[cs]]",
+           ["swap-decomposition"]),
+    _fault("cshift-not-a-bijection", "a * n + (a + b) % n", "a * n + (a * b) % n",
+           ["basis-cloning", "permutation-structure", "swap-decomposition"]),
+    _fault("permutation-values-negated", "ones = np.ones(", "ones = -np.ones(",
+           ["basis-cloning", "permutation-structure", "shift-adjoint-power"]),
+    _fault("controlled-u-transposed", "blocks.append((idx, idx, power))",
+           "blocks.append((idx, idx, power.T))", [], marks=NO_QUDIT_CHECK_YET),
+    _fault("controlled-u-adjoint-powers", "power = u @ power", "power = u.conj().T @ power", [],
+           marks=NO_QUDIT_CHECK_YET),
+    _fault("conjugated-cols-not-relabelled", "(p[rows], p[cols], block)", "(p[rows], cols, block)",
+           [], marks=NO_QUDIT_CHECK_YET),
+    _fault("conjugated-block-transposed", "(p[rows], p[cols], block)",
+           "(p[rows], p[cols], block.T)", [], marks=NO_QUDIT_CHECK_YET),
+]
+
+
+@pytest.mark.parametrize("old,new,failing", QUDIT_FAULTS)
+def test_qudit_checks_catch_a_wrong_gates(old, new, failing, monkeypatch):
+    monkeypatch.setattr(verify, "gates", _module_with(gates, old, new))
+    # one report per d and check, so a failing check is named once
+    caught = sorted({r.check for r in verify.qudit_checks(8) if not r.passed})
+    assert caught, "no qudit check fails"
     assert caught == failing
