@@ -396,20 +396,38 @@ def exchange_protocol(theta: float, cutoff) -> ModeOperator:
     return ModeOperator._from_groups(blocks, "exchange", cutoff=c)
 
 
+def _clone_input(x, c: FockCutoff, what: str) -> tuple[np.ndarray, list[int]]:
+    """``x`` as a complex vector of at most n_max + 1 levels, or a ``(levels, m)`` stack of
+    them as columns, and the levels on which some column is nonzero, rising.
+
+    Raises ValueError for any other shape, and for an entry that is not finite.
+    """
+    x = np.asarray(x, dtype=complex)
+    if x.ndim not in (1, 2) or len(x) > c.dim:
+        raise ValueError(f"{what} must be a vector of length <= {c.dim}, "
+                         f"or a stack of them as columns")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite")
+    return x, np.flatnonzero(x if x.ndim == 1 else x.any(axis=1)).tolist()
+
+
 def imperfect_clone_numeric(x, t, cutoff) -> np.ndarray:
     """Split a one-mode state across two modes with a phase-corrected beamsplitter.
 
     Applies [1 (x) V2(theta + pi)] . U_J(t) to x (x) |0>, which maps the
-    coherent state |z> (x) |0> to |cos|t| z> (x) |sin|t| z>. Warns when x
+    coherent state |z> (x) |0> to |cos|t| z> (x) |sin|t| z>. ``x`` is one
+    state of at most n_max + 1 levels, giving a ``(dim2,)`` vector, or a
+    ``(levels, m)`` stack of them as columns, giving a ``(dim2, m)`` stack
+    whose column j equals, bit for bit, the call on column j alone; each
+    occupied block of U_J(t) is built once per call. Warns when a column
     carries more than 1e-8 weight above n_max/2, where the headroom for the
-    split output becomes questionable; the warning reports that weight.
+    split output becomes questionable; the warning reports the largest such
+    weight. An entry that is not finite raises ValueError.
     """
     c = _cutoff(cutoff)
     p = _param(t)
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 1 or len(x) > c.dim:
-        raise ValueError(f"input state must be a vector of length <= {c.dim}")
-    high = float(np.sum(np.abs(x[c.n_max // 2 + 1 :]) ** 2))
+    x, levels = _clone_input(x, c, "input state")
+    high = float(np.sum(np.abs(x[c.n_max // 2 + 1 :]) ** 2, axis=0).max(initial=0.0))
     if high > 1e-8:
         warnings.warn(
             f"clone input carries weight {high:.3e} above n_max/2="
@@ -420,10 +438,11 @@ def imperfect_clone_numeric(x, t, cutoff) -> np.ndarray:
     # x (x) |0> has its level-n amplitude on the last basis vector
     # (n1 = n) of block n, so only that column of each occupied block is used
     v2 = _phase_diagonal(p.phase + math.pi, 2, c)
-    out = np.zeros(c.dim2, dtype=complex)
-    for n in np.flatnonzero(x):
+    down = (slice(None),) + (None,) * (x.ndim - 1)  # a block's factors, broadcast over columns
+    out = np.zeros((c.dim2, *x.shape[1:]), dtype=complex)
+    for n in levels:
         idx, _, block = _beamsplitter_block(n, c, p)
-        out[idx] = x[n] * v2[idx] * block[:, -1]
+        out[idx] = x[n] * v2[idx][down] * block[:, -1][down]
     return out
 
 
@@ -436,19 +455,18 @@ def imperfect_clone_closed_form(x_coeffs, t, cutoff) -> np.ndarray:
 
     for n + m <= n_max. The binomial identity
     sum_m C(n+m, m) cos^2n sin^2m = 1 per level keeps the output normalized
-    whenever the input is. Serves as the independent oracle for
-    ``imperfect_clone_numeric``.
+    whenever the input is. ``x_coeffs`` is one vector or a ``(levels, m)``
+    stack of them as columns, as for ``imperfect_clone_numeric``, and each
+    coefficient is computed once per call; column j of the stacked result
+    equals, bit for bit, the call on column j alone. Serves as the
+    independent oracle for ``imperfect_clone_numeric``.
     """
     c = _cutoff(cutoff)
     p = _param(t)
-    x = np.asarray(x_coeffs, dtype=complex)
-    if x.ndim != 1 or len(x) > c.dim:
-        raise ValueError(f"coefficients must be a vector of length <= {c.dim}")
+    x, levels = _clone_input(x_coeffs, c, "coefficients")
     cos_t, sin_t = math.cos(p.modulus), math.sin(p.modulus)
-    out = np.zeros(c.dim2, dtype=complex)
-    for total in range(min(len(x), c.dim)):
-        if x[total] == 0:
-            continue
+    out = np.zeros((c.dim2, *x.shape[1:]), dtype=complex)
+    for total in levels:
         for n in range(total + 1):
             m = total - n
             coeff = math.sqrt(math.comb(total, n)) * cos_t**n * sin_t**m

@@ -260,3 +260,71 @@ def test_clone_accepts_short_coefficient_vectors():
     out = fock.imperfect_clone_closed_form(short, 0.5, n_max)
     assert out.shape == ((n_max + 1) ** 2,)
     assert out[0] == pytest.approx(1.0)
+
+
+CLONE_ROUTES = [fock.imperfect_clone_numeric, fock.imperfect_clone_closed_form]
+
+
+@pytest.mark.parametrize("route", CLONE_ROUTES, ids=["numeric", "closed-form"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)],
+                         ids=["nan", "inf", "minus-inf-imag"])
+def test_clone_rejects_non_finite_input(route, bad):
+    stack = np.ones((3, 4), dtype=complex)
+    stack[1, 2] = bad
+    for x in ([bad, 1], stack):
+        with pytest.raises(ValueError, match="finite"):
+            route(x, 0.5, 4)
+
+
+@pytest.mark.parametrize("route", CLONE_ROUTES, ids=["numeric", "closed-form"])
+def test_clone_rejects_a_stack_of_stacks(route):
+    with pytest.raises(ValueError, match="stack"):
+        route(np.ones((3, 2, 2)), 0.5, 4)
+
+
+def _clone_inputs(rng, levels: int, m: int) -> np.ndarray:
+    """A (levels, m) stack whose odd interior levels are empty in every column; in a stack
+    of two or more, column 0 is zero and column 1 sits on the top level alone."""
+    x = rng.standard_normal((levels, m)) + 1j * rng.standard_normal((levels, m))
+    x[1:-1:2] = 0
+    if m >= 2:
+        x[:, 0] = 0
+        x[:-1, 1] = 0
+    return x
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 8, 32, 64])
+@pytest.mark.parametrize("t", [0.0, (math.pi / 2) * np.exp(-0.6j), 0.4 - 1.1j],
+                         ids=["zero", "half-wave", "generic"])
+def test_clone_stack_columns_equal_single_calls(n_max, t):
+    rng = np.random.default_rng(n_max)
+    dim2 = (n_max + 1) ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", fock.TruncationWarning)
+        for levels in (n_max + 1, n_max // 2 + 1):  # full, and shorter than n_max + 1
+            for m in (0, 1, 7):
+                x = _clone_inputs(rng, levels, m)
+                for route in CLONE_ROUTES:
+                    stacked = route(x, t, n_max)
+                    assert stacked.shape == (dim2, m)
+                    for j in range(m):
+                        single = route(x[:, j].copy(), t, n_max)
+                        assert single.shape == (dim2,)
+                        assert np.array_equal(stacked[:, j], single), (route.__name__, levels, j)
+
+
+def test_clone_stack_warns_with_its_heaviest_column():
+    n_max = 8
+    x = np.zeros((n_max + 1, 3), dtype=complex)
+    x[0, :] = 1
+    x[5, 1] = 0.5  # weight 0.25 above n_max/2
+    x[7, 2] = 1j * math.sqrt(0.5)  # weight 0.5, the largest
+    with pytest.warns(fock.TruncationWarning) as stacked:
+        fock.imperfect_clone_numeric(x, 0.5, n_max)
+    with pytest.warns(fock.TruncationWarning) as single:
+        fock.imperfect_clone_numeric(x[:, 2].copy(), 0.5, n_max)
+    assert [str(w.message) for w in stacked] == [str(w.message) for w in single]
+    assert "weight 5.000e-01" in str(stacked[0].message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", fock.TruncationWarning)
+        fock.imperfect_clone_numeric(x[:, :2] * [1, 1e-5], 0.5, n_max)  # weight 2.5e-11

@@ -1,12 +1,14 @@
 import inspect
 import json
+import math
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
 
-from quswap import fock, gates, verify
+from quswap import core, fock, gates, verify
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +156,55 @@ def test_number_conservation_check_fails_on_a_block_across_totals(monkeypatch):
     report = verify.check_beamsplitter_number_conservation(n_max)
     assert report.passed is False
     assert report.metric == pytest.approx(1 / np.sqrt(2))
+
+
+def _clone_metrics_one_state_at_a_time(n_max: int) -> tuple[float, float]:
+    """The metrics of the two clone checks, with one clone call per state and strength."""
+    def states(seed: int, count: int, support: int):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            v = np.zeros(n_max + 1, dtype=complex)
+            v[: support + 1] = rng.standard_normal(support + 1) + 1j * rng.standard_normal(support + 1)
+            yield v / np.linalg.norm(v)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", fock.TruncationWarning)
+        norm = max([0.0, *(abs(np.linalg.norm(fock.imperfect_clone_closed_form(x, t_abs, n_max)) - 1.0)
+                           for x in states(20240601, 20, n_max) for t_abs in (0.3, math.pi / 4, 1.2))])
+        t = 0.7 * np.exp(0.4j)
+        fid = min([1.0, *(core.fidelity(fock.imperfect_clone_closed_form(x, t, n_max),
+                                        fock.imperfect_clone_numeric(x, t, n_max))
+                          for x in states(20240602, 100, n_max // 2))])
+    return norm, fid
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 6, 8, 16, 32, 64])
+def test_clone_check_metrics_keep_the_bits_of_one_call_per_state(n_max):
+    # the checks pass their states as stacks; a column read with a stride moves the last bit
+    norm, fid = _clone_metrics_one_state_at_a_time(n_max)
+    assert verify.check_clone_closed_form_norm(n_max).metric == norm
+    assert verify.check_clone_oracle_equivalence(n_max).metric == fid
+
+
+def test_clone_oracle_check_builds_each_block_once_per_stack(monkeypatch):
+    # 100 states on levels 0..16 at n_max 32: one call per state would build 100 x 17 blocks
+    built = []
+    block = fock._beamsplitter_block
+    monkeypatch.setattr(fock, "_beamsplitter_block", lambda n, c, p: built.append(n) or block(n, c, p))
+    assert verify.check_clone_oracle_equivalence(32).passed
+    assert len(built) <= 4 * 17
+
+
+def test_clone_oracle_check_memory_at_n_max_64():
+    # one stack of all 100 outputs would peak near 13 MB
+    tracemalloc.start()
+    try:
+        report = verify.check_clone_oracle_equivalence(64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 4 * 2**20
 
 
 def _module_with(module: types.ModuleType, old: str, new: str) -> types.ModuleType:
