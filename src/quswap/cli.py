@@ -94,20 +94,15 @@ def array_payload(a: np.ndarray) -> dict:
 
 
 def _matrix_rows(gate: gates.QuditGate, zero: str, entry) -> Iterator[list[str]]:
-    """Each row of ``gate`` as text: ``entry(z)`` for each stored entry, ``zero`` elsewhere.
+    """Each row of ``gate`` as text: ``entry(z)`` for its one stored entry, ``zero`` elsewhere.
 
-    ``entry(0j)`` is ``zero`` and -0.0 keeps its sign; no list of all d^4 entries is built.
+    Every dumped gate keeps one entry per row. ``entry(0j)`` is ``zero``; -0.0 keeps its sign.
     """
-    entries = [None] * gate.dim  # each row's (cols, values)
-    for rows, cols, values in gate._groups:
-        if values.ndim == 1:  # one entry per row
-            cols, values = cols[:, None], values[:, None]
-        for i, c, v in zip(rows.tolist(), np.broadcast_to(cols, values.shape), values):
-            entries[i] = c, v
-    for cols, values in entries:
+    (rows, cols, values), = gate._groups
+    order = np.argsort(rows)
+    for j, z in zip(cols[order].tolist(), values[order].tolist()):
         fields = [zero] * gate.dim
-        for j, z in zip(cols.tolist(), values.tolist()):
-            fields[j] = entry(z)
+        fields[j] = entry(z)
         yield fields
 
 
@@ -175,7 +170,10 @@ def _load_coefficients(path: str, dim: int) -> np.ndarray:
     """The coefficient vector in ``path`` as a unit vector; a zero vector is rejected, and one
     whose norm is off 1 by more than ``_RENORMALIZE_TOL`` is renormalized with a warning."""
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise ValueError("coefficient file nests too deeply") from None
     if not isinstance(raw, list) or not raw:
         raise ValueError("coefficient file must be a non-empty JSON array")
     def _num(value) -> float:

@@ -290,12 +290,12 @@ def _spectral_exp(off: np.ndarray, modulus: float, phase: float,
     R = v diag(w) v^T is the real symmetric tridiagonal matrix with zero
     diagonal and off-diagonal ``off``, and P = diag(e^(i(phase + pi/2) steps)).
     Every su(2), su(1,1) and displacement block here has this form. A
-    modulus that is not finite raises ValueError.
+    modulus whose product with the spectrum is not finite raises ValueError.
     """
-    if not math.isfinite(modulus):
-        raise ValueError(f"exponential of a non-finite generator (modulus {modulus})")
-    # eigh reads the lower triangle only
+    # eigh reads the lower triangle only; w is symmetric about 0, so w[-1] is its largest modulus
     w, v = np.linalg.eigh(np.diag(off, -1))
+    if not math.isfinite(modulus * float(w[-1])):
+        raise ValueError(f"exponential of a non-finite generator (modulus {modulus})")
     phases = np.exp(1j * (phase + math.pi / 2) * steps)
     rotation = (v * np.exp(-1j * modulus * w)) @ v.T
     return phases[:, None] * rotation * phases.conj()
@@ -348,8 +348,8 @@ def beamsplitter_blockwise(t, cutoff) -> ModeOperator:
 
 def _phase_diagonal(theta: float, mode: int, c: FockCutoff) -> np.ndarray:
     """Diagonal of V_mode(theta) = exp(i theta N_mode) on the two-mode space."""
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
+    if not math.isfinite(float(theta) * c.n_max):  # theta n_max is the largest phase
+        raise ValueError(f"theta must be finite, as must theta * n_max; got {theta!r}")
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
     phases = np.exp(1j * theta * np.arange(c.dim))

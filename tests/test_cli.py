@@ -246,13 +246,17 @@ EDGE_FLOATS = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(parts=st.integers(2, 6).flatmap(
-    lambda n: st.lists(EDGE_FLOATS, min_size=2 * n * n, max_size=2 * n * n)))
-def test_gate_writer_matches_whole_payload_serialization(parts):
-    m = np.array(parts).view(complex)
-    n = math.isqrt(m.size)
-    m = m.reshape(n, n)
-    gate = gates.QuditGate(n, m, "random")
+@given(entries=st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)),
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    st.lists(EDGE_FLOATS, min_size=2 * n, max_size=2 * n))))
+def test_gate_writer_matches_whole_payload_serialization(entries):
+    # every dumped gate is one index map, one entry per row; the rows come in any order
+    rows, cols, values = np.array(entries[0]), np.array(entries[1]), np.array(entries[2])
+    n, values = len(rows), values.view(complex)
+    gate = gates.QuditGate._from_groups([(rows, cols, values)], "random", d=n)
+    m = np.zeros((n, n), dtype=complex)
+    m[rows, cols] = values
 
     def dump(fmt):
         with pytest.MonkeyPatch.context() as mp:
@@ -631,6 +635,25 @@ def test_clone_malformed_file_exits_2(capsys, tmp_path):
     path.write_text(json.dumps([[1.0, "x"]]))
     code, _, err = run_cli(capsys, "clone", "--input", str(path), "--t-abs", "0.3")
     assert code == 2
+
+
+def test_clone_deeply_nested_file_exits_2(capsys, tmp_path):
+    # json.load recurses once per level, and a RecursionError would exit 1
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run_cli(capsys, "clone", "--input", str(path), "--t-abs", "0.3")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot read coefficient file {path}: coefficient file nests too deeply\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_clone_strength_whose_phases_overflow_exits_2(capsys):
+    # |t| = 1e308 is finite, but |t| times the block spectrum is not
+    code, out, err = run_cli(capsys, "clone", "--z", "1", "--t-abs", "1e308")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "RuntimeWarning" not in err
 
 
 def test_clone_requires_exactly_one_source(capsys):

@@ -228,6 +228,34 @@ def test_spectral_builders_reject_non_finite_parameters(build, z):
             build(z, 8)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: fock.beamsplitter(1e308, 8),
+    lambda: fock.displacement(1e308, 8),
+    lambda: fock.squeeze(1e308j, 8),
+    lambda: fock.phase_op(1e308, 1, 4),
+    lambda: fock.phase_op(-1e308, 2, 4),
+], ids=["beamsplitter", "displacement", "squeeze", "phase_op-1", "phase_op-2"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::quswap.fock.TruncationWarning")
+def test_finite_parameters_whose_exponent_overflows_are_rejected(build):
+    # each parameter is finite, but its product with the largest level or eigenvalue is not;
+    # unchecked, the builders returned NaN entries
+    with pytest.raises(ValueError, match="non-finite|theta must be finite"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fock.beamsplitter(1e300, 8),
+    lambda: fock.beamsplitter(1e307, 8),
+    lambda: fock.exchange_protocol(1e308, 8),
+    lambda: fock.phase_op(1e307, 1, 8),
+], ids=["beamsplitter-1e300", "beamsplitter-1e307", "exchange_protocol-1e308", "phase_op-1e307"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_parameters_below_overflow_stay_finite(build):
+    # exchange_protocol takes theta modulo 2 pi before any phase is formed
+    assert np.all(np.isfinite(build().matrix))
+
+
 def test_displacement_identity_and_inverse():
     assert core.max_abs(fock.displacement(0, CUT).matrix - np.eye(CUT.dim)) <= 1e-14
     z = 0.8 - 0.3j

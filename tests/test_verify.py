@@ -77,6 +77,25 @@ def test_a_suite_that_would_check_nothing_is_rejected(run):
         run()
 
 
+@pytest.mark.parametrize("run", [
+    lambda size: verify.qudit_checks(size),
+    lambda size: verify.fock_checks(size),
+    lambda size: verify.run_suite("all", d_max=size, n_max=size + 1),
+], ids=["qudit", "fock", "suite-all"])
+def test_suites_take_integral_float_sizes(run):
+    # as every builder does; json.dumps tells 3.0 from 3, so the params must be ints
+    def payload(reports):
+        return json.dumps([{**r.to_dict(), "wall_ms": None} for r in reports])
+
+    assert payload(run(3.0)) == payload(run(3))
+
+
+@pytest.mark.parametrize("run", [verify.qudit_checks, verify.fock_checks], ids=["qudit", "fock"])
+def test_suites_reject_fractional_sizes(run):
+    with pytest.raises(ValueError, match="must be an integer"):
+        run(2.5)
+
+
 def test_exchange_convergence_ladder_respects_cutoff():
     report = verify.check_exchange_convergence(8)
     assert report.params["cutoffs"] == [8]
