@@ -31,6 +31,7 @@ for the matrix route.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -160,9 +161,12 @@ def coherent_truncation_weight(z: complex, cutoff) -> float:
     Computed as a Poisson tail, the regularized lower incomplete gamma
     function P(n_max + 1, |z|^2), so that tiny weights are not lost to
     cancellation; ``_igam`` ports the cephes ``igam`` for it, bit for bit.
-    Raises ValueError when |z|^2 overflows a float.
+    Raises ValueError when z is not finite or |z|^2 overflows a float.
     """
     c = _cutoff(cutoff)
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"coherent parameter must be finite, got {z}")
     try:
         mean = abs(z) ** 2
     except OverflowError:
@@ -283,17 +287,15 @@ def schwinger_su2(cutoff) -> tuple[ModeOperator, ModeOperator, ModeOperator]:
     )
 
 
-def _spectral_exp(off: np.ndarray, modulus: float, phase: float,
-                  steps: np.ndarray) -> np.ndarray:
-    """exp(-i modulus P R P*) = P v e^(-i modulus w) v^T P*.
+def _rotation(w: np.ndarray, v: np.ndarray, modulus: float, phase: float,
+              steps: np.ndarray) -> np.ndarray:
+    """exp(-i modulus P R P*) = P v e^(-i modulus w) v^T P*, from the eigenpairs of R.
 
-    R = v diag(w) v^T is the real symmetric tridiagonal matrix with zero
-    diagonal and off-diagonal ``off``, and P = diag(e^(i(phase + pi/2) steps)).
-    Every su(2), su(1,1) and displacement block here has this form. A
-    modulus whose product with the spectrum is not finite raises ValueError.
+    R = v diag(w) v^T is real symmetric with w rising and symmetric about 0, and
+    P = diag(e^(i(phase + pi/2) steps)). A modulus whose product with the spectrum
+    is not finite raises ValueError.
     """
-    # eigh reads the lower triangle only; w is symmetric about 0, so w[-1] is its largest modulus
-    w, v = np.linalg.eigh(np.diag(off, -1))
+    # w is symmetric about 0, so w[-1] is its largest modulus
     if not math.isfinite(modulus * float(w[-1])):
         raise ValueError(f"exponential of a non-finite generator (modulus {modulus})")
     phases = np.exp(1j * (phase + math.pi / 2) * steps)
@@ -301,19 +303,54 @@ def _spectral_exp(off: np.ndarray, modulus: float, phase: float,
     return phases[:, None] * rotation * phases.conj()
 
 
-def _beamsplitter_block(n: int, c: FockCutoff,
-                        p: BeamsplitterParam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _spectral_exp(off: np.ndarray, modulus: float, phase: float,
+                  steps: np.ndarray) -> np.ndarray:
+    """exp(-i modulus P R P*) for R the real symmetric tridiagonal matrix with zero
+    diagonal and off-diagonal ``off``, and P = diag(e^(i(phase + pi/2) steps)).
+
+    The displacement and squeeze blocks have this form; their R is diagonalized on
+    every call and exponentiated by ``_rotation``. The beamsplitter blocks have it
+    too, but keep the eigenpairs of their R in ``_block_spectrum``.
+    """
+    # eigh reads the lower triangle only
+    w, v = np.linalg.eigh(np.diag(off, -1))
+    return _rotation(w, v, modulus, phase, steps)
+
+
+_BLOCK_SPECTRA = 256  # holds the 129 + 65 + 33 + 17 blocks of n_max 64, 32, 16 and 8
+
+
+@functools.lru_cache(maxsize=_BLOCK_SPECTRA)
+def _block_spectrum(n: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The strength-independent part of the beamsplitter block on total photon number n.
+
+    Returns ``(n1, idx, w, v)``: the first-mode occupations n1 that the cutoff keeps,
+    rising, their two-mode indices, and the eigenpairs R = v diag(w) v^T of the real
+    tridiagonal matrix R of a1^dag a2 on the block, off-diagonal sqrt((n1 + 1)(n - n1)).
+    None of them depends on t, so each is computed once per (n, n_max) and process;
+    the arrays are read-only, so that no caller can change what later calls read.
+    """
+    n1 = np.arange(max(0, n - n_max), min(n, n_max) + 1)
+    off = np.sqrt((n1[:-1] + 1) * (n - n1[:-1]))
+    idx = n1 * (n_max + 1) + (n - n1)
+    # eigh reads the lower triangle only
+    w, v = np.linalg.eigh(np.diag(off, -1))
+    for a in (n1, idx, w, v):
+        a.flags.writeable = False
+    return n1, idx, w, v
+
+
+def _beamsplitter_block(n: int, c: FockCutoff, modulus: float,
+                        phase: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Block of U_J(t) on total photon number n, as the group (indices, indices, block).
 
-    The block spans the first-mode occupations n1 that the cutoff keeps, in
-    rising order. There the generator t a1^dag a2 - conj(t) a2^dag a1 equals
-    -i|t| P R P* with P = diag(e^(i(theta + pi/2) n1)) and R the real
-    tridiagonal matrix of a1^dag a2, off-diagonal sqrt((n1 + 1)(n - n1)).
+    With t = modulus e^(i phase), the generator t a1^dag a2 - conj(t) a2^dag a1
+    equals -i|t| P R P* on the block, with P = diag(e^(i(phase + pi/2) n1)) and R
+    the strength-independent tridiagonal matrix whose eigenpairs ``_block_spectrum``
+    keeps; only the eigenphases e^(-i|t| w) and P are computed here.
     """
-    n1 = np.arange(max(0, n - c.n_max), min(n, c.n_max) + 1)
-    off = np.sqrt((n1[:-1] + 1) * (n - n1[:-1]))
-    idx = n1 * c.dim + (n - n1)
-    return idx, idx, _spectral_exp(off, p.modulus, p.phase, n1)
+    n1, idx, w, v = _block_spectrum(n, c.n_max)
+    return idx, idx, _rotation(w, v, modulus, phase, n1)
 
 
 def beamsplitter(t, cutoff) -> ModeOperator:
@@ -330,14 +367,17 @@ def beamsplitter(t, cutoff) -> ModeOperator:
     raising element a1^dag a2 has matrix elements
     sqrt((j - m)(j + m + 1)) = sqrt((n1 + 1) n2), and is exponentiated
     through the spectrum of its real tridiagonal generator
-    (``_beamsplitter_block``). Blocks with n > n_max keep only occupations
+    (``_beamsplitter_block``). That spectrum does not depend on t, so it is
+    computed once per block and cutoff in a process and reused for every
+    strength (``_block_spectrum``). Blocks with n > n_max keep only occupations
     within the cutoff, exactly as the truncated two-mode generator does: on
     blocks of total number <= n_max the operator agrees with the
     untruncated one, higher blocks are distorted but still unitary.
     """
     c = _cutoff(cutoff)
     p = _param(t)
-    blocks = [_beamsplitter_block(n, c, p) for n in range(2 * c.n_max + 1)]
+    modulus, phase = p.modulus, p.phase
+    blocks = [_beamsplitter_block(n, c, modulus, phase) for n in range(2 * c.n_max + 1)]
     return ModeOperator._from_groups(blocks, "beamsplitter", cutoff=c)
 
 
@@ -437,11 +477,12 @@ def imperfect_clone_numeric(x, t, cutoff) -> np.ndarray:
         )
     # x (x) |0> has its level-n amplitude on the last basis vector
     # (n1 = n) of block n, so only that column of each occupied block is used
-    v2 = _phase_diagonal(p.phase + math.pi, 2, c)
+    modulus, phase = p.modulus, p.phase
+    v2 = _phase_diagonal(phase + math.pi, 2, c)
     down = (slice(None),) + (None,) * (x.ndim - 1)  # a block's factors, broadcast over columns
     out = np.zeros((c.dim2, *x.shape[1:]), dtype=complex)
     for n in levels:
-        idx, _, block = _beamsplitter_block(n, c, p)
+        idx, _, block = _beamsplitter_block(n, c, modulus, phase)
         out[idx] = x[n] * v2[idx][down] * block[:, -1][down]
     return out
 
@@ -475,14 +516,16 @@ def imperfect_clone_closed_form(x_coeffs, t, cutoff) -> np.ndarray:
 
 
 def level_projector(cutoff, max_level: int) -> np.ndarray:
-    """Single-mode diagonal projector onto levels n <= max_level."""
+    """Single-mode diagonal projector onto levels n <= max_level, an integer."""
     c = _cutoff(cutoff)
+    max_level = _integer(max_level, "level")
     return np.diag((np.arange(c.dim) <= max_level).astype(complex))
 
 
 def total_number_projector(cutoff, max_total: int) -> np.ndarray:
-    """Two-mode diagonal projector onto total photon number n1 + n2 <= max_total."""
+    """Two-mode diagonal projector onto total photon number n1 + n2 <= max_total, an integer."""
     c = _cutoff(cutoff)
+    max_total = _integer(max_total, "total photon number")
     totals = np.add.outer(np.arange(c.dim), np.arange(c.dim)).ravel()
     return np.diag((totals <= max_total).astype(complex))
 

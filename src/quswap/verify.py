@@ -1,12 +1,13 @@
 """Machine-checkable invariants behind the ``verify`` CLI command.
 
-Each check builds the operators fresh from the library and measures a
-single scalar metric. Checks are registered with ``_check``, which times
-them and builds their :class:`VerificationReport`. Deviation metrics pass
-when metric <= tolerance; fidelity metrics pass when metric >= tolerance
-(the tolerance then being the minimum acceptable fidelity). All
-randomness is seeded, so two runs produce identical reports except for
-the wall-time field.
+Each check builds its operators from the library, which keeps nothing
+between calls but the strength-independent eigenpairs of the beamsplitter
+blocks, and measures a single scalar metric. Checks are registered with
+``_check``, which times them and builds their :class:`VerificationReport`.
+Deviation metrics pass when metric <= tolerance; fidelity metrics pass
+when metric >= tolerance (the tolerance then being the minimum acceptable
+fidelity). All randomness is seeded, so two runs produce identical
+reports except for the wall-time field.
 
 Checks whose tolerance is the analytic default of 1e-10 honor the
 ``QUSWAP_TOL`` environment variable; exact integer checks (tolerance 0)

@@ -136,6 +136,13 @@ def test_coherent_rejects_non_finite_parameter(z):
         fock.coherent_state(z, 4)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, complex(0, math.inf)])
+def test_truncation_weight_rejects_non_finite_parameter(z):
+    # unchecked, nan gave a nan weight and inf a weight of 1.0
+    with pytest.raises(ValueError, match="finite"):
+        fock.coherent_truncation_weight(z, 8)
+
+
 @pytest.mark.parametrize("z", [1e200, 1e200j, complex(1e308, 1e308)])
 def test_coherent_rejects_parameter_whose_square_overflows(z):
     # finite, but |z|^2 is beyond float range
@@ -143,6 +150,15 @@ def test_coherent_rejects_parameter_whose_square_overflows(z):
         fock.coherent_state(z, 8)
     with pytest.raises(ValueError, match="overflows"):
         fock.coherent_truncation_weight(z, 8)
+
+
+@pytest.mark.parametrize("project", [fock.level_projector, fock.total_number_projector])
+def test_projectors_take_integral_levels_only(project):
+    # a fractional level kept the levels below it, and nan gave the zero projector
+    for level in (2.5, math.nan, "3"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            project(8, level)
+    assert np.array_equal(project(8, 3.0), project(8, 3))
 
 
 def test_truncation_weight_matches_poisson_tail():
@@ -389,30 +405,45 @@ def test_beamsplitter_splits_coherent_state():
 # beamsplitter blocks, against the dense-exponential oracle
 # ---------------------------------------------------------------------------
 
-def test_beamsplitter_eigenpairs_equal_scipy_eigh_tridiagonal(monkeypatch):
+def test_beamsplitter_eigenpairs_equal_scipy_eigh_tridiagonal():
     # numpy's eigh of the dense tridiagonal generator reaches the LAPACK
     # routine that eigh_tridiagonal calls; a BLAS/LAPACK build that breaks
     # this identity moves the bytes of verify and clone
-    calls = []
-    eigh = np.linalg.eigh
-
-    def recording_eigh(m):
-        calls.append((m, *eigh(m)))
-        return calls[-1][1:]
-
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    p = fock.BeamsplitterParam(0.7 - 0.4j)
     for n_max in range(1, 65):
-        c = fock.FockCutoff(n_max)
         for n in range(2 * n_max + 1):
-            calls.clear()
-            fock._beamsplitter_block(n, c, p)
-            (m, w, v), = calls
-            n1 = np.arange(max(0, n - n_max), min(n, n_max) + 1)
+            n1, idx, w, v = fock._block_spectrum(n, n_max)
+            assert np.array_equal(n1, np.arange(max(0, n - n_max), min(n, n_max) + 1))
+            assert np.array_equal(idx, n1 * (n_max + 1) + n - n1)
             off = np.sqrt((n1[:-1] + 1) * (n - n1[:-1]))
-            assert np.array_equal(np.diag(m, -1), off)
             w_ref, v_ref = scipy.linalg.eigh_tridiagonal(np.zeros(len(n1)), off)
             assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref), (n_max, n)
+
+
+def test_block_table_diagonalizes_each_block_once_per_process(monkeypatch):
+    # the eigenpairs depend on (n, n_max) only: three strengths, the exchange and
+    # a clone of every level at n_max 32 share the 65 blocks' one eigh call each
+    fock._block_spectrum.cache_clear()
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(len(m)) or eigh(m))
+    for t in (0.3, 0.7 - 0.4j, (math.pi / 2) * 1j):
+        fock.beamsplitter(t, 32)
+    fock.exchange_protocol(0.4, 32)
+    x = np.random.default_rng(7).normal(size=(33, 3)) + 0j
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", fock.TruncationWarning)
+        fock.imperfect_clone_numeric(x, 0.6, 32)
+    # block n holds min(n, 64 - n) + 1 occupations
+    assert len(calls) == 65
+    assert sorted(calls) == sorted(min(n, 64 - n) + 1 for n in range(65))
+
+
+@pytest.mark.parametrize("part", range(4), ids=["n1", "idx", "w", "v"])
+def test_block_table_arrays_are_read_only(part):
+    # a caller that writes into a kept array would change every later beamsplitter
+    array = fock._block_spectrum(5, 8)[part]
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = 0
 
 
 def test_blockwise_vacuum_block_is_trivial():
