@@ -19,8 +19,7 @@ process at d = 64); the gate is built before the first write.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage or input errors, including a ValueError raised by the library on
-an invalid input, a malformed ``QUSWAP_TOL`` and an ``--out`` path that
-cannot be written.
+an invalid input and an ``--out`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -120,7 +119,6 @@ def cmd_gate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
-    verify.analytic_tol()  # reject a malformed QUSWAP_TOL before any check runs
     reports = verify.run_suite(args.suite, d_max=args.d_max, n_max=args.n_max)
     all_passed = all(r.passed for r in reports)
     payload = {
@@ -295,7 +293,7 @@ def main(argv=None) -> int:
         return code
     except (OSError, ValueError) as exc:
         # an out-of-range bound, invalid input found by the library (coherent
-        # underflow, QUSWAP_TOL, ...) or an --out path that cannot be written
+        # underflow, overflowing |z|^2, ...) or an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

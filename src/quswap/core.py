@@ -120,15 +120,20 @@ def _as_square(a) -> np.ndarray:
 
 
 def mod_add(a: int, b: int, d) -> int:
-    """Group operation of Z_d: (a + b) mod d, with range-checked inputs."""
+    """Group operation of Z_d: (a + b) mod d, with integral, range-checked inputs."""
     n = _levels(d)
+    a, b = _integer(a, "index"), _integer(b, "index")
     if not (0 <= a < n and 0 <= b < n):
         raise ValueError(f"indices ({a}, {b}) out of range for d={n}")
     return (a + b) % n
 
 
 def basis_state(j: int, dim: int) -> np.ndarray:
-    """Computational basis vector |j> = (0,...,0,1,0,...,0)^T of length dim."""
+    """Computational basis vector |j> = (0,...,0,1,0,...,0)^T of length dim.
+
+    Raises ValueError unless j and dim are integers with 0 <= j < dim.
+    """
+    j, dim = _integer(j, "basis index"), _integer(dim, "dimension")
     if not (0 <= j < dim):
         raise ValueError(f"basis index {j} out of range for dim={dim}")
     state = np.zeros(dim, dtype=complex)
@@ -155,7 +160,10 @@ def matmul(a, b) -> np.ndarray:
 
 
 def matpow(a, k: int) -> np.ndarray:
-    """k-th matrix power (k >= 0)."""
+    """k-th matrix power; k must be an integer >= 0, else ValueError."""
+    k = _integer(k, "power")
+    if k < 0:
+        raise ValueError(f"power must be >= 0, got {k}")
     return np.linalg.matrix_power(_as_square(a), k)
 
 

@@ -184,9 +184,7 @@ def coherent_state(z: complex, cutoff) -> np.ndarray:
     """
     c = _cutoff(cutoff)
     z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError(f"coherent parameter must be finite, got {z}")
-    weight = coherent_truncation_weight(z, c)
+    weight = coherent_truncation_weight(z, c)  # rejects a non-finite z or an overflowing |z|^2
     if abs(z) ** 2 > c.n_max / 4 or weight > 1e-8:
         warnings.warn(
             f"coherent state z={z} at n_max={c.n_max} loses weight "

@@ -7,11 +7,8 @@ blocks, and measures a single scalar metric. Checks are registered with
 Deviation metrics pass when metric <= tolerance; fidelity metrics pass
 when metric >= tolerance (the tolerance then being the minimum acceptable
 fidelity). All randomness is seeded, so two runs produce identical
-reports except for the wall-time field.
-
-Checks whose tolerance is the analytic default of 1e-10 honor the
-``QUSWAP_TOL`` environment variable; exact integer checks (tolerance 0)
-never do.
+reports except for the wall-time field. Each check's tolerance is a
+fixed number, given where the check is registered.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import time
 import warnings
 from collections.abc import Callable, Iterator
@@ -29,25 +25,10 @@ import numpy as np
 
 from . import core, fock, gates
 
-__all__ = ["VerificationReport", "analytic_tol", "fock_checks", "qudit_checks", "run_suite"]
+__all__ = ["VerificationReport", "fock_checks", "qudit_checks", "run_suite"]
 
 EXCHANGE_CUTOFF_LADDER = (8, 16, 32)
 MONOTONE_JITTER = 1e-12  # double-precision slack between fidelities at different cutoffs
-
-
-def analytic_tol() -> float:
-    """Default tolerance for analytic (non-integer) identities; env-overridable.
-
-    Raises ValueError unless ``QUSWAP_TOL`` is a finite positive number.
-    """
-    raw = os.environ.get("QUSWAP_TOL", "1e-10")
-    try:
-        tol = float(raw)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"QUSWAP_TOL must be a finite positive number, got {raw!r}")
-    return tol
 
 
 @dataclass
@@ -72,14 +53,13 @@ class VerificationReport:
 _CHECKS: dict[tuple[str, str], Callable[[int], VerificationReport]] = {}
 
 
-def _check(suite: str, name: str, kind: str, tol: float | Callable[[], float]):
+def _check(suite: str, name: str, kind: str, tol: float):
     """Register a check of ``suite`` whose body returns ``(params, metric)``.
 
     The registered function takes the body's argument and returns the
     :class:`VerificationReport`: it times the body, ignores
-    ``TruncationWarning`` (small cutoffs are probed on purpose), reads
-    ``tol`` (a number, or ``analytic_tol``) and compares the metric with it
-    as ``kind`` says.
+    ``TruncationWarning`` (small cutoffs are probed on purpose) and compares
+    the metric with ``tol`` as ``kind`` says.
     """
     def register(body: Callable[[int], tuple[dict, float]]) -> Callable[[int], VerificationReport]:
         @functools.wraps(body)
@@ -88,9 +68,9 @@ def _check(suite: str, name: str, kind: str, tol: float | Callable[[], float]):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", core.TruncationWarning)
                 params, metric = body(*args, **kwargs)
-            metric, tolerance = float(metric), tol() if callable(tol) else tol
-            passed = metric <= tolerance if kind == "deviation" else metric >= tolerance
-            return VerificationReport(name, params, kind, metric, tolerance, passed,
+            metric = float(metric)
+            passed = metric <= tol if kind == "deviation" else metric >= tol
+            return VerificationReport(name, params, kind, metric, tol, passed,
                                       (time.perf_counter() - t0) * 1e3)
         _CHECKS[suite, name] = run
         return run
@@ -258,7 +238,7 @@ def check_exchange_convergence(n_max: int) -> tuple[dict, float]:
     return params, violation
 
 
-@_check("fock", "clone-closed-form-norm", "deviation", analytic_tol)
+@_check("fock", "clone-closed-form-norm", "deviation", 1e-10)
 def check_clone_closed_form_norm(n_max: int) -> tuple[dict, float]:
     """The closed-form split of a normalized state is normalized."""
     rng = np.random.default_rng(20240601)

@@ -449,7 +449,6 @@ def test_non_finite_numbers_exit_2(argv, capsys):
         ({}, ["exchange", "--z1", "0", "--z2", "0", "--n-max", "0"]),
         ({}, ["clone", "--z", "0.1", "--t-abs", "0.5", "--n-max", "0"]),
         ({}, ["exchange", "--z1", "40", "--z2", "0", "--n-max", "8"]),  # coherent underflow
-        ({"QUSWAP_TOL": "abc"}, ["verify"]),
         ({}, ["exchange", "--z1", "1e200", "--z2", "0", "--n-max", "8"]),  # |z|^2 overflows
         ({}, ["clone", "--z", "1e200", "--t-abs", "0.5"]),
         ({}, ["clone", "--input", HUGE_INTEGER_FILE, "--t-abs", "0.5"]),

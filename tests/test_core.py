@@ -47,6 +47,18 @@ def test_mod_add_rejects_out_of_range():
         core.mod_add(0, -1, 3)
 
 
+@pytest.mark.parametrize("bad", [(0.5, 1), (1, 0.5), (math.nan, 0), (0, math.inf), ("1", 0)])
+def test_mod_add_rejects_non_integral_indices(bad):
+    # unchecked, mod_add(0.5, 1, 3) returned 1.5
+    with pytest.raises(ValueError, match="must be an integer"):
+        core.mod_add(*bad, 3)
+
+
+def test_mod_add_takes_integral_floats_as_ints():
+    result = core.mod_add(2.0, np.int64(1), 3)
+    assert result == 0 and type(result) is int
+
+
 def test_basis_state_qubits():
     assert np.array_equal(core.basis_state(0, 2), [1, 0])
     assert np.array_equal(core.basis_state(1, 2), [0, 1])
@@ -56,6 +68,17 @@ def test_basis_state_qubits():
 def test_basis_state_rejects_out_of_range():
     with pytest.raises(ValueError):
         core.basis_state(2, 2)
+
+
+@pytest.mark.parametrize("j", [0.5, math.nan, "1"], ids=repr)
+def test_basis_state_rejects_non_integral_index(j):
+    # unchecked, a fractional index raised IndexError; the dim is checked with the sizes below
+    with pytest.raises(ValueError, match="must be an integer"):
+        core.basis_state(j, 3)
+
+
+def test_basis_state_takes_an_integral_float_index():
+    assert np.array_equal(core.basis_state(1.0, 3), core.basis_state(1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +140,20 @@ def test_matmul_identity_and_involution():
 def test_matmul_cnot_squares_to_identity():
     # oracle: direct multiplication of the regression matrix with itself
     assert np.array_equal(core.matmul(CNOT, CNOT), np.eye(4))
+
+
+def test_matpow_of_a_shift():
+    shift = np.roll(np.eye(3), 1, axis=0)
+    assert np.array_equal(core.matpow(shift, 0), np.eye(3))
+    assert np.array_equal(core.matpow(shift, 3), np.eye(3))
+    assert np.array_equal(core.matpow(shift, 2.0), core.matpow(shift, 2))
+
+
+@pytest.mark.parametrize("k", [-1, -2.0, 1.5, math.nan, math.inf, "2"], ids=repr)
+def test_matpow_rejects_negative_or_non_integral_powers(k):
+    # unchecked, -1 returned the inverse (or raised LinAlgError) and 1.5 raised TypeError
+    with pytest.raises(ValueError, match="power"):
+        core.matpow(np.eye(2), k)
 
 
 def test_matmul_rejects_dim_mismatch():
@@ -298,11 +335,13 @@ SIZED = [
     (core.QuditDim, lambda q: q.d),
     (gates.sigma1, lambda g: g.d),
     (fock.FockCutoff, lambda c: c.n_max),
+    (lambda n: core.basis_state(0, n), len),
     (lambda n: fock.coherent_state(0.5, n), lambda v: len(v) - 1),
     (lambda n: gates.QuditGate(n, np.eye(8), "x"), lambda g: g.d),
     (lambda n: fock.ModeOperator(n, np.eye(9), "x"), lambda op: op.cutoff.n_max),
 ]
-SIZED_IDS = ["QuditDim", "sigma1", "FockCutoff", "coherent_state", "QuditGate", "ModeOperator"]
+SIZED_IDS = ["QuditDim", "sigma1", "FockCutoff", "basis_state", "coherent_state", "QuditGate",
+             "ModeOperator"]
 
 
 @pytest.mark.parametrize("build, size", SIZED, ids=SIZED_IDS)
