@@ -146,9 +146,20 @@ def tensor_op(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def _vector(x, what: str) -> np.ndarray:
+    """``x`` as a complex state vector; any other number of axes raises ValueError."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim != 1:
+        raise ValueError(f"{what} state must be a vector, got shape {x.shape}")
+    return x
+
+
 def tensor_state(x, y) -> np.ndarray:
-    """Tensor product of state vectors, same index convention as tensor_op."""
-    return np.kron(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+    """Tensor product of state vectors, same index convention as tensor_op.
+
+    Raises ValueError unless both are 1-d.
+    """
+    return np.kron(_vector(x, "first"), _vector(y, "second"))
 
 
 def matmul(a, b) -> np.ndarray:
@@ -186,7 +197,7 @@ def max_abs(a) -> float:
 
 def is_unitary(a, tol: float = 1e-12) -> bool:
     """True iff max-norm of (a^dag a - I) is at most tol, a finite positive number."""
-    if not (np.isfinite(tol) and tol > 0):
+    if isinstance(tol, str) or not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
     a = _as_square(a)
     return max_abs(a.conj().T @ a - np.eye(a.shape[0])) <= tol
@@ -212,12 +223,12 @@ def mat_exp(a) -> np.ndarray:
 def fidelity(x, y) -> float:
     """|<x|y>|^2 for normalized state vectors.
 
-    Raises ValueError when either norm differs from 1 by more than 1e-10,
-    so a result off by a scalar factor cannot pass as a perfect overlap;
-    the clip into [0, 1] only absorbs rounding.
+    Raises ValueError unless both are 1-d of one length, and when either
+    norm differs from 1 by more than 1e-10, so a result off by a scalar
+    factor cannot pass as a perfect overlap; the clip into [0, 1] only
+    absorbs rounding.
     """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
+    x, y = _vector(x, "first"), _vector(y, "second")
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     for name, v in (("first", x), ("second", y)):

@@ -209,13 +209,13 @@ def displacement(z: complex, cutoff) -> ModeOperator:
     The truncated generator is exactly antihermitian, so D(z) is unitary on
     the whole truncated space. It equals -i|z| P R P* with R the real
     tridiagonal matrix of off-diagonal sqrt(n) and P = diag((i z/|z|)^n),
-    and is exponentiated through the spectrum of R (``_spectral_exp``).
+    and is exponentiated through the spectrum of R, which does not depend
+    on z and is kept per cutoff (``_rotation``).
     """
     c = _cutoff(cutoff)
     z = complex(z)
-    levels = np.arange(c.dim)
-    block = _spectral_exp(np.sqrt(levels[1:]), abs(z), cmath.phase(z), levels)
-    return ModeOperator(c, block, "displacement")
+    block = _rotation("displacement", 0, c, abs(z), cmath.phase(z))
+    return ModeOperator._from_groups([block], "displacement", cutoff=c)
 
 
 def su11_generators(cutoff) -> tuple[ModeOperator, ModeOperator, ModeOperator]:
@@ -246,7 +246,8 @@ def squeeze(w: complex, cutoff) -> ModeOperator:
     blocks, the even and the odd levels. On the chain of levels n = 2k + r
     it equals -i|w| P R P* with R real tridiagonal, off-diagonal
     sqrt((n + 1)(n + 2))/2, and P = diag((i w/|w|)^k), and is exponentiated
-    through the spectrum of R (``_spectral_exp``).
+    through the spectrum of R, which does not depend on w and is kept per
+    parity and cutoff (``_rotation``).
     """
     c = _cutoff(cutoff)
     if abs(w) > 1:
@@ -257,11 +258,7 @@ def squeeze(w: complex, cutoff) -> ModeOperator:
             stacklevel=2,
         )
     w = complex(w)
-    blocks = []
-    for levels in (np.arange(0, c.dim, 2), np.arange(1, c.dim, 2)):
-        off = np.sqrt((levels[:-1] + 1) * (levels[:-1] + 2)) / 2
-        steps = np.arange(len(levels))
-        blocks.append((levels, levels, _spectral_exp(off, abs(w), cmath.phase(w), steps)))
+    blocks = [_rotation("squeeze", parity, c, abs(w), cmath.phase(w)) for parity in (0, 1)]
     return ModeOperator._from_groups(blocks, "squeeze", cutoff=c)
 
 
@@ -285,70 +282,51 @@ def schwinger_su2(cutoff) -> tuple[ModeOperator, ModeOperator, ModeOperator]:
     )
 
 
-def _rotation(w: np.ndarray, v: np.ndarray, modulus: float, phase: float,
-              steps: np.ndarray) -> np.ndarray:
-    """exp(-i modulus P R P*) = P v e^(-i modulus w) v^T P*, from the eigenpairs of R.
+# the 244 beamsplitter blocks and the 12 displacement and squeeze chains of n_max 64, 32, 16 and 8
+_CHAIN_SPECTRA = 256
 
-    R = v diag(w) v^T is real symmetric with w rising and symmetric about 0, and
-    P = diag(e^(i(phase + pi/2) steps)). A modulus whose product with the spectrum
-    is not finite raises ValueError.
+
+@functools.lru_cache(maxsize=_CHAIN_SPECTRA)
+def _chain_spectrum(chain: str, n: int, n_max: int) -> tuple[np.ndarray, ...]:
+    """``(idx, steps, w, v)`` of one chain of levels: their indices, their steps along the
+    chain (the powers in P) and the eigenpairs R = v diag(w) v^T of its real tridiagonal
+    generator R with zero diagonal. The chain is block n of the ``beamsplitter``, the
+    levels of parity n for the ``squeeze``, or every level for the ``displacement``
+    (n = 0). None of this depends on the strength, so each chain is computed once per
+    process; the arrays are read-only, so that no caller can change what later calls read.
     """
+    if chain == "beamsplitter":
+        steps = np.arange(max(0, n - n_max), min(n, n_max) + 1)
+        idx = steps * (n_max + 1) + (n - steps)
+        off = np.sqrt((steps[:-1] + 1) * (n - steps[:-1]))
+    elif chain == "displacement":
+        idx = steps = np.arange(n_max + 1)
+        off = np.sqrt(idx[1:])
+    else:
+        idx = np.arange(n, n_max + 1, 2)
+        steps = np.arange(len(idx))
+        off = np.sqrt((idx[:-1] + 1) * (idx[:-1] + 2)) / 2
+    # eigh reads the lower triangle only
+    w, v = np.linalg.eigh(np.diag(off, -1))
+    for a in (idx, steps, w, v):
+        a.flags.writeable = False
+    return idx, steps, w, v
+
+
+def _rotation(chain: str, n: int, c: FockCutoff, modulus: float,
+              phase: float) -> tuple[np.ndarray, ...]:
+    """The group (idx, idx, exp(-i modulus P R P*)) of one chain of ``_chain_spectrum``,
+    as P v e^(-i modulus w) v^T P* with P = diag(e^(i(phase + pi/2) steps)).
+
+    A modulus whose product with the spectrum is not finite raises ValueError.
+    """
+    idx, steps, w, v = _chain_spectrum(chain, n, c.n_max)
     # w is symmetric about 0, so w[-1] is its largest modulus
     if not math.isfinite(modulus * float(w[-1])):
         raise ValueError(f"exponential of a non-finite generator (modulus {modulus})")
     phases = np.exp(1j * (phase + math.pi / 2) * steps)
     rotation = (v * np.exp(-1j * modulus * w)) @ v.T
-    return phases[:, None] * rotation * phases.conj()
-
-
-def _spectral_exp(off: np.ndarray, modulus: float, phase: float,
-                  steps: np.ndarray) -> np.ndarray:
-    """exp(-i modulus P R P*) for R the real symmetric tridiagonal matrix with zero
-    diagonal and off-diagonal ``off``, and P = diag(e^(i(phase + pi/2) steps)).
-
-    The displacement and squeeze blocks have this form; their R is diagonalized on
-    every call and exponentiated by ``_rotation``. The beamsplitter blocks have it
-    too, but keep the eigenpairs of their R in ``_block_spectrum``.
-    """
-    # eigh reads the lower triangle only
-    w, v = np.linalg.eigh(np.diag(off, -1))
-    return _rotation(w, v, modulus, phase, steps)
-
-
-_BLOCK_SPECTRA = 256  # holds the 129 + 65 + 33 + 17 blocks of n_max 64, 32, 16 and 8
-
-
-@functools.lru_cache(maxsize=_BLOCK_SPECTRA)
-def _block_spectrum(n: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The strength-independent part of the beamsplitter block on total photon number n.
-
-    Returns ``(n1, idx, w, v)``: the first-mode occupations n1 that the cutoff keeps,
-    rising, their two-mode indices, and the eigenpairs R = v diag(w) v^T of the real
-    tridiagonal matrix R of a1^dag a2 on the block, off-diagonal sqrt((n1 + 1)(n - n1)).
-    None of them depends on t, so each is computed once per (n, n_max) and process;
-    the arrays are read-only, so that no caller can change what later calls read.
-    """
-    n1 = np.arange(max(0, n - n_max), min(n, n_max) + 1)
-    off = np.sqrt((n1[:-1] + 1) * (n - n1[:-1]))
-    idx = n1 * (n_max + 1) + (n - n1)
-    # eigh reads the lower triangle only
-    w, v = np.linalg.eigh(np.diag(off, -1))
-    for a in (n1, idx, w, v):
-        a.flags.writeable = False
-    return n1, idx, w, v
-
-
-def _beamsplitter_block(n: int, c: FockCutoff, modulus: float,
-                        phase: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block of U_J(t) on total photon number n, as the group (indices, indices, block).
-
-    With t = modulus e^(i phase), the generator t a1^dag a2 - conj(t) a2^dag a1
-    equals -i|t| P R P* on the block, with P = diag(e^(i(phase + pi/2) n1)) and R
-    the strength-independent tridiagonal matrix whose eigenpairs ``_block_spectrum``
-    keeps; only the eigenphases e^(-i|t| w) and P are computed here.
-    """
-    n1, idx, w, v = _block_spectrum(n, c.n_max)
-    return idx, idx, _rotation(w, v, modulus, phase, n1)
+    return idx, idx, phases[:, None] * rotation * phases.conj()
 
 
 def beamsplitter(t, cutoff) -> ModeOperator:
@@ -364,18 +342,17 @@ def beamsplitter(t, cutoff) -> ModeOperator:
     spin-(n/2) representation of su(2), in which, with m = n1 - n/2, the
     raising element a1^dag a2 has matrix elements
     sqrt((j - m)(j + m + 1)) = sqrt((n1 + 1) n2), and is exponentiated
-    through the spectrum of its real tridiagonal generator
-    (``_beamsplitter_block``). That spectrum does not depend on t, so it is
-    computed once per block and cutoff in a process and reused for every
-    strength (``_block_spectrum``). Blocks with n > n_max keep only occupations
-    within the cutoff, exactly as the truncated two-mode generator does: on
-    blocks of total number <= n_max the operator agrees with the
-    untruncated one, higher blocks are distorted but still unitary.
+    through the spectrum of its real tridiagonal generator, which does not
+    depend on t and is kept per block and cutoff (``_rotation``). Blocks
+    with n > n_max keep only occupations within the cutoff, exactly as the
+    truncated two-mode generator does: on blocks of total number <= n_max
+    the operator agrees with the untruncated one, higher blocks are
+    distorted but still unitary.
     """
     c = _cutoff(cutoff)
     p = _param(t)
     modulus, phase = p.modulus, p.phase
-    blocks = [_beamsplitter_block(n, c, modulus, phase) for n in range(2 * c.n_max + 1)]
+    blocks = [_rotation("beamsplitter", n, c, modulus, phase) for n in range(2 * c.n_max + 1)]
     return ModeOperator._from_groups(blocks, "beamsplitter", cutoff=c)
 
 
@@ -480,7 +457,7 @@ def imperfect_clone_numeric(x, t, cutoff) -> np.ndarray:
     down = (slice(None),) + (None,) * (x.ndim - 1)  # a block's factors, broadcast over columns
     out = np.zeros((c.dim2, *x.shape[1:]), dtype=complex)
     for n in levels:
-        idx, _, block = _beamsplitter_block(n, c, modulus, phase)
+        idx, _, block = _rotation("beamsplitter", n, c, modulus, phase)
         out[idx] = x[n] * v2[idx][down] * block[:, -1][down]
     return out
 

@@ -1,8 +1,9 @@
 """Machine-checkable invariants behind the ``verify`` CLI command.
 
 Each check builds its operators from the library, which keeps nothing
-between calls but the strength-independent eigenpairs of the beamsplitter
-blocks, and measures a single scalar metric. Checks are registered with
+between calls but the strength-independent eigenpairs of its tridiagonal
+generators (the beamsplitter blocks and the displacement and squeeze
+chains), and measures a single scalar metric. Checks are registered with
 ``_check``, which times them and builds their :class:`VerificationReport`.
 Deviation metrics pass when metric <= tolerance; fidelity metrics pass
 when metric >= tolerance (the tolerance then being the minimum acceptable

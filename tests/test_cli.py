@@ -444,27 +444,25 @@ def test_non_finite_numbers_exit_2(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "env,argv",
+    "argv",
     [
-        ({}, ["exchange", "--z1", "0", "--z2", "0", "--n-max", "0"]),
-        ({}, ["clone", "--z", "0.1", "--t-abs", "0.5", "--n-max", "0"]),
-        ({}, ["exchange", "--z1", "40", "--z2", "0", "--n-max", "8"]),  # coherent underflow
-        ({}, ["exchange", "--z1", "1e200", "--z2", "0", "--n-max", "8"]),  # |z|^2 overflows
-        ({}, ["clone", "--z", "1e200", "--t-abs", "0.5"]),
-        ({}, ["clone", "--input", HUGE_INTEGER_FILE, "--t-abs", "0.5"]),
-        ({}, ["clone", "--input", OVERFLOWING_NORM_FILE, "--t-abs", "0.3", "--n-max", "4"]),
-        ({}, ["clone", "--input", ZERO_VECTOR_FILE, "--t-abs", "0.3", "--n-max", "4"]),
-        ({}, ["clone", "--input", EMPTY_ARRAY_FILE, "--t-abs", "0.3", "--n-max", "4"]),
-        ({}, ["clone", "--input", EMPTY_OBJECT_FILE, "--t-abs", "0.3", "--n-max", "4"]),
-        ({}, ["clone", "--input", SIX_COEFFICIENTS_FILE, "--t-abs", "0.3", "--n-max", "4"]),
+        ["exchange", "--z1", "0", "--z2", "0", "--n-max", "0"],
+        ["clone", "--z", "0.1", "--t-abs", "0.5", "--n-max", "0"],
+        ["exchange", "--z1", "40", "--z2", "0", "--n-max", "8"],  # coherent underflow
+        ["exchange", "--z1", "1e200", "--z2", "0", "--n-max", "8"],  # |z|^2 overflows
+        ["clone", "--z", "1e200", "--t-abs", "0.5"],
+        ["clone", "--input", HUGE_INTEGER_FILE, "--t-abs", "0.5"],
+        ["clone", "--input", OVERFLOWING_NORM_FILE, "--t-abs", "0.3", "--n-max", "4"],
+        ["clone", "--input", ZERO_VECTOR_FILE, "--t-abs", "0.3", "--n-max", "4"],
+        ["clone", "--input", EMPTY_ARRAY_FILE, "--t-abs", "0.3", "--n-max", "4"],
+        ["clone", "--input", EMPTY_OBJECT_FILE, "--t-abs", "0.3", "--n-max", "4"],
+        ["clone", "--input", SIX_COEFFICIENTS_FILE, "--t-abs", "0.3", "--n-max", "4"],
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_invalid_library_input_exits_2(env, argv, capsys, monkeypatch):
+def test_invalid_library_input_exits_2(argv, capsys):
     # a ValueError escaping main would fail this test as a traceback, and so
     # would a numpy RuntimeWarning, which prints lines of its own
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -200,7 +200,8 @@ def test_is_unitary_rejects_truncated_creation():
 
 def test_is_unitary_requires_positive_tol():
     # an infinite tolerance would pass any matrix, a NaN one fail every matrix silently
-    for tol in (0.0, math.inf, math.nan):
+    # a string raised numpy's TypeError from isfinite
+    for tol in (0.0, math.inf, math.nan, "1e-3"):
         with pytest.raises(ValueError, match="finite positive"):
             core.is_unitary(5 * np.eye(2), tol)
 
@@ -290,6 +291,29 @@ def test_fidelity_rejects_unnormalized_inputs():
 def test_fidelity_rejects_dim_mismatch():
     with pytest.raises(ValueError):
         core.fidelity(core.basis_state(0, 2), core.basis_state(0, 3))
+
+
+NOT_VECTORS = {
+    # matrices were read as their flattened vectors: fidelity gave 0.9999999999999996
+    # and tensor_state a (2, 4) matrix
+    "matrix": np.eye(2) / math.sqrt(2),
+    "scalar": np.array(1.0),
+    "column": np.array([[1.0], [0.0]]),
+    "stack": np.zeros((1, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("bad", NOT_VECTORS.values(), ids=NOT_VECTORS.keys())
+@pytest.mark.parametrize("call", [
+    lambda x: core.fidelity(x, x),
+    lambda x: core.fidelity(core.basis_state(0, 2), x),
+    lambda x: core.fidelity(x, core.basis_state(0, 2)),
+    lambda x: core.tensor_state([1, 0], x),
+    lambda x: core.tensor_state(x, [1, 0]),
+], ids=["fidelity-both", "fidelity-second", "fidelity-first", "tensor-second", "tensor-first"])
+def test_state_functions_reject_inputs_that_are_not_vectors(call, bad):
+    with pytest.raises(ValueError, match="must be a vector"):
+        call(bad)
 
 
 def test_fidelity_of_coherent_pair_matches_gaussian_overlap():

@@ -405,27 +405,46 @@ def test_beamsplitter_splits_coherent_state():
 # beamsplitter blocks, against the dense-exponential oracle
 # ---------------------------------------------------------------------------
 
+def _chains(n_max):
+    """Every chain of the spectrum table at n_max, with its levels, steps and off-diagonal."""
+    for n in range(2 * n_max + 1):
+        n1 = np.arange(max(0, n - n_max), min(n, n_max) + 1)
+        off = np.sqrt((n1[:-1] + 1) * (n - n1[:-1]))
+        yield ("beamsplitter", n), n1 * (n_max + 1) + n - n1, n1, off
+    levels = np.arange(n_max + 1)
+    yield ("displacement", 0), levels, levels, np.sqrt(levels[1:])
+    for parity in (0, 1):
+        levels = np.arange(parity, n_max + 1, 2)
+        off = np.sqrt((levels[:-1] + 1) * (levels[:-1] + 2)) / 2
+        yield ("squeeze", parity), levels, np.arange(len(levels)), off
+
+
 def test_beamsplitter_eigenpairs_equal_scipy_eigh_tridiagonal():
     # numpy's eigh of the dense tridiagonal generator reaches the LAPACK
     # routine that eigh_tridiagonal calls; a BLAS/LAPACK build that breaks
-    # this identity moves the bytes of verify and clone
+    # this identity moves the bytes of verify and clone. The displacement and
+    # squeeze chains share the table and are held to the same identity.
     for n_max in range(1, 65):
-        for n in range(2 * n_max + 1):
-            n1, idx, w, v = fock._block_spectrum(n, n_max)
-            assert np.array_equal(n1, np.arange(max(0, n - n_max), min(n, n_max) + 1))
-            assert np.array_equal(idx, n1 * (n_max + 1) + n - n1)
-            off = np.sqrt((n1[:-1] + 1) * (n - n1[:-1]))
-            w_ref, v_ref = scipy.linalg.eigh_tridiagonal(np.zeros(len(n1)), off)
-            assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref), (n_max, n)
+        for key, want_idx, want_steps, off in _chains(n_max):
+            idx, steps, w, v = fock._chain_spectrum(*key, n_max)
+            assert np.array_equal(idx, want_idx) and np.array_equal(steps, want_steps)
+            w_ref, v_ref = scipy.linalg.eigh_tridiagonal(np.zeros(len(idx)), off)
+            assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref), (n_max, key)
+
+
+def _count_eigh(monkeypatch) -> list[int]:
+    """Empty the spectrum table and record the size of every later eigh call."""
+    fock._chain_spectrum.cache_clear()
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(len(m)) or eigh(m))
+    return calls
 
 
 def test_block_table_diagonalizes_each_block_once_per_process(monkeypatch):
     # the eigenpairs depend on (n, n_max) only: three strengths, the exchange and
     # a clone of every level at n_max 32 share the 65 blocks' one eigh call each
-    fock._block_spectrum.cache_clear()
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(len(m)) or eigh(m))
+    calls = _count_eigh(monkeypatch)
     for t in (0.3, 0.7 - 0.4j, (math.pi / 2) * 1j):
         fock.beamsplitter(t, 32)
     fock.exchange_protocol(0.4, 32)
@@ -438,10 +457,30 @@ def test_block_table_diagonalizes_each_block_once_per_process(monkeypatch):
     assert sorted(calls) == sorted(min(n, 64 - n) + 1 for n in range(65))
 
 
-@pytest.mark.parametrize("part", range(4), ids=["n1", "idx", "w", "v"])
+def test_displacement_and_squeeze_diagonalize_each_chain_once_per_process(monkeypatch):
+    # their generators depend on the cutoff (and parity) only, not on z or w
+    calls = _count_eigh(monkeypatch)
+    fock.displacement(0.3, 8)
+    fock.displacement(-0.5 + 0.2j, 8)
+    assert calls == [9]
+    fock.squeeze(0.2, 8)
+    fock.squeeze(0.4j, 8)
+    assert calls == [9, 5, 4]  # levels 0, 2, .., 8 and 1, 3, .., 7
+
+
+@pytest.mark.parametrize("builder,s", [(fock.displacement, 0.6 - 0.3j), (fock.squeeze, 0.4j)],
+                         ids=["displacement", "squeeze"])
+def test_chain_operators_equal_on_a_cold_and_a_warm_table(builder, s):
+    fock._chain_spectrum.cache_clear()
+    cold = builder(s, 16).matrix
+    assert np.array_equal(builder(s, 16).matrix, cold)
+
+
+@pytest.mark.parametrize("part", range(4), ids=["idx", "n1", "w", "v"])
 def test_block_table_arrays_are_read_only(part):
-    # a caller that writes into a kept array would change every later beamsplitter
-    array = fock._block_spectrum(5, 8)[part]
+    # a caller that writes into a kept array would change every later beamsplitter;
+    # the steps along a beamsplitter block are its first-mode occupations n1
+    array = fock._chain_spectrum("beamsplitter", 5, 8)[part]
     with pytest.raises(ValueError, match="read-only"):
         array[0] = 0
 

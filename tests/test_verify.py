@@ -59,9 +59,9 @@ def test_reports_deterministic_modulo_walltime():
 
 def test_fock_reports_equal_on_a_cold_and_a_warm_block_table():
     # the beamsplitter blocks' eigenpairs are kept per process; the second run reads them all
-    fock._block_spectrum.cache_clear()
+    fock._chain_spectrum.cache_clear()
     cold = _without_wall_time(verify.run_suite("fock", n_max=16))
-    assert fock._block_spectrum.cache_info().currsize > 0
+    assert fock._chain_spectrum.cache_info().currsize > 0
     warm = _without_wall_time(verify.run_suite("fock", n_max=16))
     assert json.dumps(cold) == json.dumps(warm)
 
@@ -236,7 +236,7 @@ def test_clone_check_metrics_keep_the_bits_of_one_call_per_state(n_max):
 def test_clone_oracle_check_builds_each_block_once_per_stack(monkeypatch):
     # 100 states on levels 0..16 at n_max 32, in four stacks: one build per state
     # would diagonalize 100 x 17 blocks, the table diagonalizes each of the 17 once
-    fock._block_spectrum.cache_clear()
+    fock._chain_spectrum.cache_clear()
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(len(m)) or eigh(m))
@@ -284,9 +284,9 @@ def test_clone_check_fails_when_the_beamsplitter_blocks_are_wrong(monkeypatch):
     # blocks as the beamsplitter, so the oracle check must see it
     t = 0.7 * np.exp(0.4j)
     right = fock.beamsplitter(t, 4).matrix
-    block = fock._beamsplitter_block
-    monkeypatch.setattr(fock, "_beamsplitter_block",
-                        lambda n, c, modulus, phase: block(n, c, modulus, -phase))
+    rotation = fock._rotation
+    monkeypatch.setattr(fock, "_rotation", lambda chain, n, c, modulus, phase:
+                        rotation(chain, n, c, modulus, -phase))
     assert not np.allclose(fock.beamsplitter(t, 4).matrix, right)
     assert verify.check_clone_oracle_equivalence(8).passed is False
 
@@ -304,11 +304,10 @@ def _fault(name: str, old: str, new: str, failing: list[str], **kwargs):
 FOCK_FAULTS = [
     _fault("exchange-v2-without-pi", "_phase_diagonal(theta + math.pi, 2, c)",
            "_phase_diagonal(theta, 2, c)", ["exchange-convergence"]),
-    _fault("block-modulus-negated", "_rotation(w, v, modulus, phase, n1)",
-           "_rotation(w, v, -modulus, phase, n1)",
+    _fault("block-modulus-negated", "np.exp(-1j * modulus * w)", "np.exp(1j * modulus * w)",
            ["clone-coherent-marginal", "clone-oracle-equivalence", "exchange-convergence"]),
-    _fault("block-phase-negated", "_rotation(w, v, modulus, phase, n1)",
-           "_rotation(w, v, modulus, -phase, n1)", ["clone-oracle-equivalence"]),
+    _fault("block-phase-negated", "(phase + math.pi / 2)", "(-phase + math.pi / 2)",
+           ["clone-oracle-equivalence"]),
     _fault("clone-v2-without-pi", "_phase_diagonal(phase + math.pi, 2, c)",
            "_phase_diagonal(phase, 2, c)", ["clone-coherent-marginal", "clone-oracle-equivalence"]),
     _fault("exchange-v1-theta-sign", "_phase_diagonal(-theta, 1, c)",
