@@ -7,6 +7,7 @@ are pure, so results are safe to share across threads. ``gates.QuditGate`` and
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,8 +197,8 @@ def max_abs(a) -> float:
 
 
 def is_unitary(a, tol: float = 1e-12) -> bool:
-    """True iff max-norm of (a^dag a - I) is at most tol, a finite positive number."""
-    if isinstance(tol, str) or not (np.isfinite(tol) and tol > 0):
+    """True iff max-norm of (a^dag a - I) is at most tol, a finite positive real number."""
+    if not (isinstance(tol, numbers.Real) and 0 < tol < np.inf):
         raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
     a = _as_square(a)
     return max_abs(a.conj().T @ a - np.eye(a.shape[0])) <= tol

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _igam
-from .core import TruncationWarning, _integer, _Operator, tensor_op
+from .core import TruncationWarning, _integer, _Operator
 
 __all__ = [
     "BeamsplitterParam",
@@ -93,8 +93,9 @@ def _cutoff(c) -> FockCutoff:
 
 class ModeOperator(_Operator):
     """A labeled operator on the truncated one- or two-mode space, in the ``core._Operator``
-    store: a matrix given here is one block, the beamsplitter and the exchange keep one
-    block per total photon number, and the squeeze one block per parity."""
+    store: a matrix given here is one block; the ladder operators, the su(1,1) and su(2)
+    generators and the phase rotations one entry per row; the beamsplitter and the exchange
+    one block per total photon number, and the squeeze one block per parity."""
 
     def __init__(self, cutoff, matrix, label: str) -> None:
         cutoff = _cutoff(cutoff)
@@ -133,10 +134,18 @@ def _param(t) -> BeamsplitterParam:
     return t if isinstance(t, BeamsplitterParam) else BeamsplitterParam(complex(t))
 
 
+def _band(c: FockCutoff, k: int, values, label: str) -> ModeOperator:
+    """``values[i]`` in row i, column i + k, as one entry per row; a row whose column leaves
+    the basis keeps its value, which must be 0, at a clipped column, so rows stay a partition."""
+    rows = np.arange(len(values))
+    group = (rows, np.clip(rows + k, 0, len(rows) - 1), np.asarray(values, dtype=complex))
+    return ModeOperator._from_groups([group], label, cutoff=c)
+
+
 def annihilation(cutoff) -> ModeOperator:
     """a|n> = sqrt(n)|n-1>; superdiagonal sqrt(1..n_max)."""
     c = _cutoff(cutoff)
-    return ModeOperator(c, np.diag(np.sqrt(np.arange(1, c.dim)), k=1), "a")
+    return _band(c, 1, np.append(np.sqrt(np.arange(1, c.dim)), 0.0), "a")
 
 
 def creation(cutoff) -> ModeOperator:
@@ -146,13 +155,13 @@ def creation(cutoff) -> ModeOperator:
     substitute for the qudit shift gate.
     """
     c = _cutoff(cutoff)
-    return ModeOperator(c, np.diag(np.sqrt(np.arange(1, c.dim)), k=-1), "adag")
+    return _band(c, -1, np.sqrt(np.arange(c.dim)), "adag")
 
 
 def number(cutoff) -> ModeOperator:
     """N = a^dag a = diag(0, 1, ..., n_max), exactly."""
     c = _cutoff(cutoff)
-    return ModeOperator(c, np.diag(np.arange(c.dim)).astype(complex), "n")
+    return _band(c, 0, np.arange(c.dim), "n")
 
 
 def coherent_truncation_weight(z: complex, cutoff) -> float:
@@ -221,20 +230,15 @@ def displacement(z: complex, cutoff) -> ModeOperator:
 def su11_generators(cutoff) -> tuple[ModeOperator, ModeOperator, ModeOperator]:
     """Single-mode su(1,1) triple K+ = (a^dag)^2/2, K- = a^2/2, K3 = (a^dag a + 1/2)/2.
 
-    The relations [K3, K+-] = +-K+- and [K+, K-] = -2 K3 hold exactly on
-    the interior levels n <= n_max - 2.
+    Each keeps one entry per row, the bits of these products of the truncated ladder matrices;
+    [K3, K+-] = +-K+- and [K+, K-] = -2 K3 hold exactly on the interior levels n <= n_max - 2.
     """
     c = _cutoff(cutoff)
-    a = annihilation(c).matrix
-    adag = a.conj().T
-    kp = adag @ adag / 2
-    km = a @ a / 2
-    k3 = (adag @ a + np.eye(c.dim) / 2) / 2
-    return (
-        ModeOperator(c, kp, "K+"),
-        ModeOperator(c, km, "K-"),
-        ModeOperator(c, k3, "K3"),
-    )
+    root = np.sqrt(np.arange(c.dim))
+    pair = root[1:-1] * root[2:] / 2  # sqrt(n + 1) sqrt(n + 2) / 2 for n = 0 .. n_max - 2
+    return (_band(c, -2, np.append(np.zeros(2), pair), "K+"),
+            _band(c, 2, np.append(pair, np.zeros(2)), "K-"),
+            _band(c, 0, (root * root + 0.5) / 2, "K3"))
 
 
 def squeeze(w: complex, cutoff) -> ModeOperator:
@@ -265,21 +269,15 @@ def squeeze(w: complex, cutoff) -> ModeOperator:
 def schwinger_su2(cutoff) -> tuple[ModeOperator, ModeOperator, ModeOperator]:
     """Two-mode su(2) triple J+ = a1^dag a2, J- = a2^dag a1, J3 = (N1 - N2)/2.
 
-    With a1 = a (x) 1 and a2 = 1 (x) a the mixed-product identity gives the
-    Kronecker forms J+ = a^dag (x) a, J- = a (x) a^dag and
-    J3 = (N (x) 1 - 1 (x) N)/2, so J3 is exact. The su(2) relations hold
-    exactly on the subspace of total photon number <= n_max.
+    Each keeps one entry per row, with the bits of the Kronecker forms J+ = a^dag (x) a
+    and J- = a (x) a^dag, n_max columns left and right of the diagonal; J3 is exact. The
+    su(2) relations hold exactly on the subspace of total photon number <= n_max.
     """
     c = _cutoff(cutoff)
-    a, adag, n, eye = annihilation(c).matrix, creation(c).matrix, number(c).matrix, np.eye(c.dim)
-    jp = tensor_op(adag, a)
-    jm = tensor_op(a, adag)
-    j3 = (tensor_op(n, eye) - tensor_op(eye, n)) / 2
-    return (
-        ModeOperator(c, jp, "J+"),
-        ModeOperator(c, jm, "J-"),
-        ModeOperator(c, j3, "J3"),
-    )
+    n1, n2 = np.divmod(np.arange(c.dim2), c.dim)
+    return (_band(c, -c.n_max, np.where(n2 < c.n_max, np.sqrt(n1) * np.sqrt(n2 + 1), 0.0), "J+"),
+            _band(c, c.n_max, np.where(n1 < c.n_max, np.sqrt(n1 + 1) * np.sqrt(n2), 0.0), "J-"),
+            _band(c, 0, (n1 - n2) / 2, "J3"))
 
 
 # the 244 beamsplitter blocks and the 12 displacement and squeeze chains of n_max 64, 32, 16 and 8
@@ -379,9 +377,7 @@ def phase_op(theta: float, mode: int, cutoff) -> ModeOperator:
     row; sends a coherent parameter z to e^(i theta) z.
     """
     c = _cutoff(cutoff)
-    idx = np.arange(c.dim2)
-    return ModeOperator._from_groups([(idx, idx, _phase_diagonal(theta, mode, c))],
-                                     f"phase-mode{mode}", cutoff=c)
+    return _band(c, 0, _phase_diagonal(theta, mode, c), f"phase-mode{mode}")
 
 
 def exchange_protocol(theta: float, cutoff) -> ModeOperator:

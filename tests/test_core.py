@@ -200,8 +200,8 @@ def test_is_unitary_rejects_truncated_creation():
 
 def test_is_unitary_requires_positive_tol():
     # an infinite tolerance would pass any matrix, a NaN one fail every matrix silently
-    # a string raised numpy's TypeError from isfinite
-    for tol in (0.0, math.inf, math.nan, "1e-3"):
+    # a string, None, bytes, a list or a complex number raised numpy's TypeError instead
+    for tol in (0.0, math.inf, math.nan, "1e-3", None, b"1", [1e-3], 1j):
         with pytest.raises(ValueError, match="finite positive"):
             core.is_unitary(5 * np.eye(2), tol)
 

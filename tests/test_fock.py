@@ -318,6 +318,18 @@ def test_su11_commutators_on_interior():
     assert core.max_abs((core.commutator(kp, km) + 2 * k3) @ interior) <= 1e-12
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 4, 16])
+def test_su11_generators_match_ladder_products(n_max):
+    # the dense oracle of test_squeeze_matches_dense_exponential, pinned to the products of
+    # the public ladder matrices bit for bit
+    a = fock.annihilation(n_max).matrix
+    adag = a.conj().T
+    kp, km, k3 = (g.matrix for g in fock.su11_generators(n_max))
+    assert np.array_equal(kp, adag @ adag / 2)
+    assert np.array_equal(km, a @ a / 2)
+    assert np.array_equal(k3, (adag @ a + np.eye(n_max + 1) / 2) / 2)
+
+
 def test_su11_k3_vacuum_eigenvalue():
     _, _, k3 = fock.su11_generators(CUT)
     out = k3.apply(core.basis_state(0, CUT.dim))
@@ -352,6 +364,18 @@ def test_schwinger_su2_matches_mode_pair_products(n_max, mode_pair):
     assert np.array_equal(jp, a1dag @ a2)
     assert np.array_equal(jm, a2dag @ a1)
     assert core.max_abs(j3 - (a1dag @ a1 - a2dag @ a2) / 2) <= 1e-14
+
+
+def test_generators_keep_one_entry_per_row():
+    # built as dense products, the six generators at n_max 32 peaked at 90.5 MB
+    tracemalloc.start()
+    try:
+        generators = (*fock.schwinger_su2(32), *fock.su11_generators(32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert [g.dim for g in generators] == [33**2] * 3 + [33] * 3
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -536,8 +560,17 @@ def test_clone_numeric_matches_dense_oracle(n_max):
     lambda n_max: fock.beamsplitter(rand_t(70 + n_max), n_max),
     lambda n_max: fock.exchange_protocol(0.3 * n_max, n_max),
     lambda n_max: fock.annihilation(n_max),
+    lambda n_max: fock.creation(n_max),
+    lambda n_max: fock.number(n_max),
+    lambda n_max: fock.su11_generators(n_max)[0],
+    lambda n_max: fock.su11_generators(n_max)[1],
+    lambda n_max: fock.su11_generators(n_max)[2],
+    lambda n_max: fock.schwinger_su2(n_max)[0],
+    lambda n_max: fock.schwinger_su2(n_max)[1],
+    lambda n_max: fock.schwinger_su2(n_max)[2],
     lambda n_max: fock.phase_op(0.3 * n_max, 2, n_max),
-], ids=["beamsplitter", "exchange", "annihilation", "phase"])
+], ids=["beamsplitter", "exchange", "annihilation", "creation", "number", "K+", "K-", "K3",
+        "J+", "J-", "J3", "phase"])
 def test_block_apply_matches_matrix(build, n_max):
     op = build(n_max)
     rng = np.random.default_rng(80 + n_max)
