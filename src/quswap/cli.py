@@ -92,29 +92,30 @@ def array_payload(a: np.ndarray) -> dict:
     return {"dim": a.shape[0], "entries": a.view(np.float64).reshape(-1, 2).tolist()}
 
 
-def _matrix_rows(gate: gates.QuditGate, zero: str, entry) -> Iterator[list[str]]:
-    """Each row of ``gate`` as text: ``entry(z)`` for its one stored entry, ``zero`` elsewhere.
+def _matrix_rows(gate: gates.QuditGate, zero: str, sep: str, entry) -> Iterator[str]:
+    """Each row of ``gate`` as text: ``entry(z)`` for its one stored entry, ``zero`` elsewhere,
+    joined by ``sep``; the row of zeros is joined once and sliced around each entry.
 
     Every dumped gate keeps one entry per row. ``entry(0j)`` is ``zero``; -0.0 keeps its sign.
     """
     (rows, cols, values), = gate._groups
     order = np.argsort(rows)
+    zeros = sep.join([zero] * gate.dim)
+    width = len(zero) + len(sep)
     for j, z in zip(cols[order].tolist(), values[order].tolist()):
-        fields = [zero] * gate.dim
-        fields[j] = entry(z)
-        yield fields
+        yield zeros[: j * width] + entry(z) + zeros[j * width + len(zero) :]
 
 
 def cmd_gate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     """The dump as text chunks, one per matrix row; the gate is built before the first chunk."""
     gate = GATE_BUILDERS[args.name](args.d)
     if args.format == "csv":
-        rows = _matrix_rows(gate, "0+0i", lambda z: f"{z.real:.17g}{z.imag:+.17g}i")
-        return (",".join(fields) + "\n" for fields in rows), 0
+        rows = _matrix_rows(gate, "0+0i", ",", lambda z: f"{z.real:.17g}{z.imag:+.17g}i")
+        return (row + "\n" for row in rows), 0
     # the JSON of ``array_payload``, written one row of entries at a time
     header = json.dumps({"gate": gate.label, "d": gate.d, "dim": gate.dim, "entries": []})[:-2]
-    rows = _matrix_rows(gate, "[0.0, 0.0]", lambda z: f"[{z.real!r}, {z.imag!r}]")
-    chunks = ((", " if i else "") + ", ".join(fields) for i, fields in enumerate(rows))
+    rows = _matrix_rows(gate, "[0.0, 0.0]", ", ", lambda z: f"[{z.real!r}, {z.imag!r}]")
+    chunks = ((", " if i else "") + row for i, row in enumerate(rows))
     return itertools.chain([header], chunks, ["]}\n"]), 0
 
 

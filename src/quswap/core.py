@@ -109,7 +109,10 @@ def _integer(x, what: str) -> int:
 
 
 def _levels(d) -> int:
-    """Accept either an integral level count or a QuditDim and return the level count."""
+    """Accept either an integral level count or a QuditDim and return the level count;
+    a plain ``int >= 2`` is returned at once, anything else is validated by ``QuditDim``."""
+    if type(d) is int and d >= 2:
+        return d
     return (d if isinstance(d, QuditDim) else QuditDim(d)).d
 
 

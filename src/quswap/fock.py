@@ -33,6 +33,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -74,9 +75,14 @@ class FockCutoff:
     n_max: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_max", _integer(self.n_max, "cutoff"))
-        if self.n_max < 1:
-            raise ValueError(f"cutoff must be >= 1, got {self.n_max}")
+        n_max = _integer(self.n_max, "cutoff")
+        if n_max < 1:
+            raise ValueError(f"cutoff must be >= 1, got {n_max}")
+        # every two-mode basis index n1 (n_max + 1) + n2 must fit numpy's intp, sys.maxsize
+        if (n_max + 1) ** 2 > sys.maxsize + 1:
+            raise ValueError(f"cutoff {self.n_max!r} is too large: the two-mode dimension "
+                             f"(n_max + 1)^2 exceeds numpy's index range")
+        object.__setattr__(self, "n_max", n_max)
 
     @property
     def dim(self) -> int:
@@ -219,12 +225,12 @@ def displacement(z: complex, cutoff) -> ModeOperator:
     the whole truncated space. It equals -i|z| P R P* with R the real
     tridiagonal matrix of off-diagonal sqrt(n) and P = diag((i z/|z|)^n),
     and is exponentiated through the spectrum of R, which does not depend
-    on z and is kept per cutoff (``_rotation``).
+    on z and is kept per cutoff (``_rotations``).
     """
     c = _cutoff(cutoff)
     z = complex(z)
-    block = _rotation("displacement", 0, c, abs(z), cmath.phase(z))
-    return ModeOperator._from_groups([block], "displacement", cutoff=c)
+    blocks = _rotations("displacement", [0], c, abs(z), cmath.phase(z))
+    return ModeOperator._from_groups(blocks, "displacement", cutoff=c)
 
 
 def su11_generators(cutoff) -> tuple[ModeOperator, ModeOperator, ModeOperator]:
@@ -251,7 +257,7 @@ def squeeze(w: complex, cutoff) -> ModeOperator:
     it equals -i|w| P R P* with R real tridiagonal, off-diagonal
     sqrt((n + 1)(n + 2))/2, and P = diag((i w/|w|)^k), and is exponentiated
     through the spectrum of R, which does not depend on w and is kept per
-    parity and cutoff (``_rotation``).
+    parity and cutoff (``_rotations``).
     """
     c = _cutoff(cutoff)
     if abs(w) > 1:
@@ -262,7 +268,7 @@ def squeeze(w: complex, cutoff) -> ModeOperator:
             stacklevel=2,
         )
     w = complex(w)
-    blocks = [_rotation("squeeze", parity, c, abs(w), cmath.phase(w)) for parity in (0, 1)]
+    blocks = _rotations("squeeze", (0, 1), c, abs(w), cmath.phase(w))
     return ModeOperator._from_groups(blocks, "squeeze", cutoff=c)
 
 
@@ -311,20 +317,29 @@ def _chain_spectrum(chain: str, n: int, n_max: int) -> tuple[np.ndarray, ...]:
     return idx, steps, w, v
 
 
-def _rotation(chain: str, n: int, c: FockCutoff, modulus: float,
-              phase: float) -> tuple[np.ndarray, ...]:
-    """The group (idx, idx, exp(-i modulus P R P*)) of one chain of ``_chain_spectrum``,
-    as P v e^(-i modulus w) v^T P* with P = diag(e^(i(phase + pi/2) steps)).
+def _rotations(chain: str, ns, c: FockCutoff, modulus: float, phase: float) -> list[tuple]:
+    """The groups (idx, idx, exp(-i modulus P R P*)) of the chains ``ns`` of ``_chain_spectrum``,
+    each as P v e^(-i modulus w) v^T P* with P = diag(e^(i(phase + pi/2) steps)).
 
-    A modulus whose product with the spectrum is not finite raises ValueError.
+    The phase vector and the eigenphases of every chain are computed in one numpy call each;
+    each block is multiplied out on its own, since a stack of blocks would move some bits.
+    A modulus whose product with a spectrum is not finite raises ValueError.
     """
-    idx, steps, w, v = _chain_spectrum(chain, n, c.n_max)
-    # w is symmetric about 0, so w[-1] is its largest modulus
-    if not math.isfinite(modulus * float(w[-1])):
+    spectra = [_chain_spectrum(chain, n, c.n_max) for n in ns]
+    if not spectra:  # a zero clone input occupies no chain
+        return []
+    # each w is symmetric about 0, so w[-1] is its largest modulus
+    if not math.isfinite(modulus * max(float(w[-1]) for _, _, w, _ in spectra)):
         raise ValueError(f"exponential of a non-finite generator (modulus {modulus})")
-    phases = np.exp(1j * (phase + math.pi / 2) * steps)
-    rotation = (v * np.exp(-1j * modulus * w)) @ v.T
-    return idx, idx, phases[:, None] * rotation * phases.conj()
+    phases = np.exp(1j * (phase + math.pi / 2) * np.arange(c.dim))
+    phases_conj = phases.conj()
+    eigenphases = np.exp(-1j * modulus * np.concatenate([w for _, _, w, _ in spectra]))
+    groups, end = [], 0
+    for idx, steps, w, v in spectra:
+        start, end = end, end + len(w)
+        rotation = (v * eigenphases[start:end]) @ v.T
+        groups.append((idx, idx, phases[steps][:, None] * rotation * phases_conj[steps]))
+    return groups
 
 
 def beamsplitter(t, cutoff) -> ModeOperator:
@@ -341,7 +356,8 @@ def beamsplitter(t, cutoff) -> ModeOperator:
     raising element a1^dag a2 has matrix elements
     sqrt((j - m)(j + m + 1)) = sqrt((n1 + 1) n2), and is exponentiated
     through the spectrum of its real tridiagonal generator, which does not
-    depend on t and is kept per block and cutoff (``_rotation``). Blocks
+    depend on t and is kept per block and cutoff; one ``_rotations`` pass
+    turns all 2 n_max + 1 blocks. Blocks
     with n > n_max keep only occupations within the cutoff, exactly as the
     truncated two-mode generator does: on blocks of total number <= n_max
     the operator agrees with the untruncated one, higher blocks are
@@ -349,8 +365,7 @@ def beamsplitter(t, cutoff) -> ModeOperator:
     """
     c = _cutoff(cutoff)
     p = _param(t)
-    modulus, phase = p.modulus, p.phase
-    blocks = [_rotation("beamsplitter", n, c, modulus, phase) for n in range(2 * c.n_max + 1)]
+    blocks = _rotations("beamsplitter", range(2 * c.n_max + 1), c, p.modulus, p.phase)
     return ModeOperator._from_groups(blocks, "beamsplitter", cutoff=c)
 
 
@@ -367,7 +382,7 @@ def _phase_diagonal(theta: float, mode: int, c: FockCutoff) -> np.ndarray:
         raise ValueError(f"mode must be 1 or 2, got {mode}")
     phases = np.exp(1j * theta * np.arange(c.dim))
     ones = np.ones(c.dim)
-    return (np.outer(phases, ones) if mode == 1 else np.outer(ones, phases)).ravel()
+    return (phases[:, None] * ones if mode == 1 else ones[:, None] * phases).ravel()
 
 
 def phase_op(theta: float, mode: int, cutoff) -> ModeOperator:
@@ -395,15 +410,19 @@ def exchange_protocol(theta: float, cutoff) -> ModeOperator:
 
     At finite cutoff the swap is exact on blocks of total photon number
     <= n_max; inputs with weight above that leak infidelity of the order of
-    their truncation weight.
+    their truncation weight. The blocks of U_J(t) come straight from the
+    rotation pass that ``beamsplitter`` uses, and each is multiplied by its
+    rows of the phase diagonal.
     """
     c = _cutoff(cutoff)
     if not math.isfinite(theta):  # before fmod, which raises a bare "math domain error"
         raise ValueError(f"theta must be finite, got {theta!r}")
     theta = math.fmod(theta, math.tau)
     t = (math.pi / 2) * complex(math.cos(theta), math.sin(theta))
+    p = _param(t)
     phases = _phase_diagonal(-theta, 1, c) * _phase_diagonal(theta + math.pi, 2, c)
-    blocks = [(idx, idx, phases[idx, None] * b) for idx, _, b in beamsplitter(t, c)._groups]
+    blocks = [(idx, idx, phases[idx][:, None] * b) for idx, _, b in
+              _rotations("beamsplitter", range(2 * c.n_max + 1), c, p.modulus, p.phase)]
     return ModeOperator._from_groups(blocks, "exchange", cutoff=c)
 
 
@@ -433,7 +452,8 @@ def imperfect_clone_numeric(x, t, cutoff) -> np.ndarray:
     occupied block of U_J(t) is built once per call. Warns when a column
     carries more than 1e-8 weight above n_max/2, where the headroom for the
     split output becomes questionable; the warning reports the largest such
-    weight. An entry that is not finite raises ValueError.
+    weight. An entry that is not finite raises ValueError. The occupied blocks
+    come from one rotation pass, as in ``beamsplitter``.
     """
     c = _cutoff(cutoff)
     p = _param(t)
@@ -452,8 +472,7 @@ def imperfect_clone_numeric(x, t, cutoff) -> np.ndarray:
     v2 = _phase_diagonal(phase + math.pi, 2, c)
     down = (slice(None),) + (None,) * (x.ndim - 1)  # a block's factors, broadcast over columns
     out = np.zeros((c.dim2, *x.shape[1:]), dtype=complex)
-    for n in levels:
-        idx, _, block = _rotation("beamsplitter", n, c, modulus, phase)
+    for n, (idx, _, block) in zip(levels, _rotations("beamsplitter", levels, c, modulus, phase)):
         out[idx] = x[n] * v2[idx][down] * block[:, -1][down]
     return out
 

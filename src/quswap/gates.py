@@ -23,7 +23,9 @@ them.
 
 Each permutation gate is built from an integer index map, all written once in
 ``_index_map``, and kept as that map, one entry per row. The six-gate product
-composes the builders' own maps, so it holds exactly.
+composes the builders' own maps, so it holds exactly; its four distinct factor
+maps are formed from one set of level arrays (i, k = -i mod d, and the two
+qudits' levels a, b), which a single map also uses.
 """
 
 from __future__ import annotations
@@ -67,26 +69,31 @@ def _index_map(n: int, label: str) -> np.ndarray:
     i = np.arange(n)
     k = -i % n
     a, b = np.divmod(np.arange(n * n), n)  # the two qudits' levels at basis index a*n + b
-    match label:
-        case "sigma1":
-            return (i + 1) % n
-        case "k":
-            return k
-        case "cshift":
-            return a * n + (a + b) % n
-        case "cshift-rev":
-            return (a + b) % n * n + b
-        case "swap":
-            return b * n + a
-        case "k x 1":
-            return k[a] * n + b
-        case "1 x k":
-            return a * n + k[b]
-        case "swap-composed":
-            # C_Sigma (K x 1) C~_Sigma (K x 1) C_Sigma (1 x K), rightmost factor first
-            cs, k1 = _index_map(n, "cshift"), _index_map(n, "k x 1")
-            return cs[k1[_index_map(n, "cshift-rev")[k1[cs[_index_map(n, "1 x k")]]]]]
-    raise KeyError(label)
+
+    def factor(name: str) -> np.ndarray:
+        match name:
+            case "sigma1":
+                return (i + 1) % n
+            case "k":
+                return k
+            case "cshift":
+                return a * n + (a + b) % n
+            case "cshift-rev":
+                return (a + b) % n * n + b
+            case "swap":
+                return b * n + a
+            case "k x 1":
+                return k[a] * n + b
+            case "1 x k":
+                return a * n + k[b]
+        raise KeyError(name)
+
+    if label != "swap-composed":
+        return factor(label)
+    # C_Sigma (K x 1) C~_Sigma (K x 1) C_Sigma (1 x K), rightmost factor first, all from
+    # the one set of level arrays above
+    cs, k1 = factor("cshift"), factor("k x 1")
+    return cs[k1[factor("cshift-rev")[k1[cs[factor("1 x k")]]]]]
 
 
 def _permutation(d, label: str) -> QuditGate:

@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 import warnings
@@ -244,20 +245,30 @@ def test_spectral_builders_reject_non_finite_parameters(build, z):
             build(z, 8)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: fock.beamsplitter(1e308, 8),
-    lambda: fock.displacement(1e308, 8),
-    lambda: fock.squeeze(1e308j, 8),
-    lambda: fock.phase_op(1e308, 1, 4),
-    lambda: fock.phase_op(-1e308, 2, 4),
-], ids=["beamsplitter", "displacement", "squeeze", "phase_op-1", "phase_op-2"])
+TOO_LARGE_CUTOFF = "^cutoff 1e\\+308 is too large: the two-mode dimension"
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: fock.beamsplitter(1e308, 8), "non-finite"),
+    (lambda: fock.displacement(1e308, 8), "non-finite"),
+    (lambda: fock.squeeze(1e308j, 8), "non-finite"),
+    (lambda: fock.phase_op(1e308, 1, 4), "theta must be finite"),
+    (lambda: fock.phase_op(-1e308, 2, 4), "theta must be finite"),
+    (lambda: fock.beamsplitter(0.3, 1e308), TOO_LARGE_CUTOFF),
+    (lambda: fock.exchange_protocol(0.3, 1e308), TOO_LARGE_CUTOFF),
+    (lambda: fock.squeeze(0.3, 1e308), TOO_LARGE_CUTOFF),
+    (lambda: fock.annihilation(1e308), TOO_LARGE_CUTOFF),
+], ids=["beamsplitter", "displacement", "squeeze", "phase_op-1", "phase_op-2",
+        "beamsplitter-cutoff", "exchange_protocol-cutoff", "squeeze-cutoff", "annihilation-cutoff"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.filterwarnings("ignore::quswap.fock.TruncationWarning")
-def test_finite_parameters_whose_exponent_overflows_are_rejected(build):
-    # each parameter is finite, but its product with the largest level or eigenvalue is not;
-    # unchecked, the builders returned NaN entries
-    with pytest.raises(ValueError, match="non-finite|theta must be finite"):
+def test_finite_parameters_whose_exponent_overflows_are_rejected(build, message):
+    # each parameter is finite, but its product with the largest level or eigenvalue is not,
+    # or, for a cutoff, its two-mode dimension is beyond numpy's index range; unchecked, the
+    # builders returned NaN entries, and the beamsplitter raised OverflowError on the cutoff
+    with pytest.raises(ValueError, match=message) as caught:
         build()
+    assert "\n" not in str(caught.value)
 
 
 @pytest.mark.parametrize("build", [
@@ -555,6 +566,89 @@ def test_clone_numeric_matches_dense_oracle(n_max):
     assert core.max_abs(got - want) <= 1e-12
 
 
+def _rotation_per_block(chain: str, n: int, n_max: int, modulus: float, phase: float):
+    """The group of one chain with its own phase vector and eigenphase call, each block
+    multiplied out as ``fock._rotations`` does: the reference for sharing those two calls."""
+    idx, steps, w, v = fock._chain_spectrum(chain, n, n_max)
+    phases = np.exp(1j * (phase + math.pi / 2) * steps)
+    rotation = (v * np.exp(-1j * modulus * w)) @ v.T
+    return idx, idx, phases[:, None] * rotation * phases.conj()
+
+
+def _reference_beamsplitter_groups(t, n_max: int) -> list:
+    p = fock.BeamsplitterParam(t)
+    return [_rotation_per_block("beamsplitter", n, n_max, p.modulus, p.phase)
+            for n in range(2 * n_max + 1)]
+
+
+def _reference_exchange_groups(theta: float, n_max: int) -> list:
+    c = fock.FockCutoff(n_max)
+    theta = math.fmod(theta, math.tau)
+    t = (math.pi / 2) * complex(math.cos(theta), math.sin(theta))
+    phases = fock._phase_diagonal(-theta, 1, c) * fock._phase_diagonal(theta + math.pi, 2, c)
+    return [(idx, idx, phases[idx, None] * b) for idx, _, b in _reference_beamsplitter_groups(t, n_max)]
+
+
+def _reference_clone(x, t, n_max: int) -> np.ndarray:
+    c = fock.FockCutoff(n_max)
+    p = fock.BeamsplitterParam(t)
+    x = np.asarray(x, dtype=complex)
+    v2 = fock._phase_diagonal(p.phase + math.pi, 2, c)
+    down = (slice(None),) + (None,) * (x.ndim - 1)
+    out = np.zeros((c.dim2, *x.shape[1:]), dtype=complex)
+    for n in np.flatnonzero(x if x.ndim == 1 else x.any(axis=1)).tolist():
+        idx, _, block = _rotation_per_block("beamsplitter", n, n_max, p.modulus, p.phase)
+        out[idx] = x[n] * v2[idx][down] * block[:, -1][down]
+    return out
+
+
+def _bytes(groups: list) -> bytes:
+    """The bytes of every stored array and, up to the 1089-square of n_max 32, of the
+    assembled ``.matrix`` (the 4225-square of n_max 64 would take 285 MB)."""
+    op = core._Operator(groups, "reference")
+    return b"".join([a.tobytes() for group in groups for a in group]
+                    + ([op.matrix.tobytes()] if op.dim <= 33 ** 2 else []))
+
+
+ROTATION_N_MAX = [1, 2, 7, 8, 16, 32, 64]
+# t = 0, |t| = pi/2, a generic strength, and a theta beyond 2 pi
+STRENGTHS = [0, math.pi / 2, 0.3 - 0.4j, (math.pi / 2) * np.exp(2.2j), 0.8 * np.exp(7.5j)]
+
+
+@pytest.mark.filterwarnings("ignore::quswap.fock.TruncationWarning")
+@pytest.mark.parametrize("n_max", ROTATION_N_MAX)
+def test_fock_operators_keep_the_bytes_of_one_rotation_per_block(n_max):
+    # tobytes() compares signed zeros too, which array_equal does not
+    cases = []
+    for t in STRENGTHS:
+        z = complex(t)
+        cases += [
+            (fock.beamsplitter(t, n_max), _reference_beamsplitter_groups(t, n_max)),
+            (fock.displacement(z, n_max),
+             [_rotation_per_block("displacement", 0, n_max, abs(z), cmath.phase(z))]),
+            (fock.squeeze(z, n_max),
+             [_rotation_per_block("squeeze", r, n_max, abs(z), cmath.phase(z)) for r in (0, 1)]),
+        ]
+    for theta in [0.0, 0.4, -1.9, 2 * math.pi + 0.5, 1e5]:
+        cases.append((fock.exchange_protocol(theta, n_max), _reference_exchange_groups(theta, n_max)))
+    for op, want in cases:
+        assert _bytes(op._groups) == _bytes(want), op.label
+
+
+@pytest.mark.filterwarnings("ignore::quswap.fock.TruncationWarning")
+@pytest.mark.parametrize("n_max", ROTATION_N_MAX)
+def test_clone_keeps_the_bytes_of_one_rotation_per_block(n_max):
+    rng = np.random.default_rng(90 + n_max)
+    half = n_max // 2 + 1
+    inputs = [np.zeros(half), np.zeros((n_max + 1, 2)),  # no occupied level
+              rng.standard_normal(half) + 1j * rng.standard_normal(half),
+              rng.standard_normal((n_max + 1, 3)) + 1j * rng.standard_normal((n_max + 1, 3))]
+    for t in STRENGTHS:
+        for x in inputs:
+            got = fock.imperfect_clone_numeric(x, t, n_max)
+            assert got.tobytes() == _reference_clone(x, t, n_max).tobytes()
+
+
 @pytest.mark.parametrize("n_max", [1, 2, 8, 32])
 @pytest.mark.parametrize("build", [
     lambda n_max: fock.beamsplitter(rand_t(70 + n_max), n_max),
@@ -661,6 +755,11 @@ def test_unitary_constructors_are_unitary(build):
 def test_cutoff_validation():
     with pytest.raises(ValueError):
         fock.FockCutoff(0)
+    # the largest two-mode basis index, (n_max + 1)^2 - 1, is at most numpy's intp maximum
+    largest = math.isqrt(np.iinfo(np.intp).max + 1) - 1
+    assert fock.FockCutoff(largest).n_max == largest
+    with pytest.raises(ValueError, match=f"cutoff {largest + 1} is too large"):
+        fock.FockCutoff(largest + 1)
     assert fock.FockCutoff(4).dim == 5
     assert fock.FockCutoff(4).dim2 == 25
 

@@ -284,9 +284,9 @@ def test_clone_check_fails_when_the_beamsplitter_blocks_are_wrong(monkeypatch):
     # blocks as the beamsplitter, so the oracle check must see it
     t = 0.7 * np.exp(0.4j)
     right = fock.beamsplitter(t, 4).matrix
-    rotation = fock._rotation
-    monkeypatch.setattr(fock, "_rotation", lambda chain, n, c, modulus, phase:
-                        rotation(chain, n, c, modulus, -phase))
+    rotations = fock._rotations
+    monkeypatch.setattr(fock, "_rotations", lambda chain, ns, c, modulus, phase:
+                        rotations(chain, ns, c, modulus, -phase))
     assert not np.allclose(fock.beamsplitter(t, 4).matrix, right)
     assert verify.check_clone_oracle_equivalence(8).passed is False
 
@@ -304,7 +304,8 @@ def _fault(name: str, old: str, new: str, failing: list[str], **kwargs):
 FOCK_FAULTS = [
     _fault("exchange-v2-without-pi", "_phase_diagonal(theta + math.pi, 2, c)",
            "_phase_diagonal(theta, 2, c)", ["exchange-convergence"]),
-    _fault("block-modulus-negated", "np.exp(-1j * modulus * w)", "np.exp(1j * modulus * w)",
+    _fault("block-modulus-negated", "np.exp(-1j * modulus * np.concatenate(",
+           "np.exp(1j * modulus * np.concatenate(",
            ["clone-coherent-marginal", "clone-oracle-equivalence", "exchange-convergence"]),
     _fault("block-phase-negated", "(phase + math.pi / 2)", "(-phase + math.pi / 2)",
            ["clone-oracle-equivalence"]),
@@ -338,7 +339,7 @@ QUDIT_FAULTS = [
     _fault("reverse-is-identity", "k = -i % n", "k = i % n", ["swap-decomposition"]),
     _fault("cshift-subtracts", "a * n + (a + b) % n", "a * n + (a - b) % n",
            ["swap-decomposition"]),
-    _fault("swap-composed-without-1xk", '[k1[cs[_index_map(n, "1 x k")]]]', "[k1[cs]]",
+    _fault("swap-composed-without-1xk", '[k1[cs[factor("1 x k")]]]', "[k1[cs]]",
            ["swap-decomposition"]),
     _fault("cshift-not-a-bijection", "a * n + (a + b) % n", "a * n + (a * b) % n",
            ["basis-cloning", "permutation-structure", "swap-decomposition"]),
