@@ -64,36 +64,39 @@ class QuditGate(_Operator):
         super().__init__([(every, every, m)], label, d=d)
 
 
-def _index_map(n: int, label: str) -> np.ndarray:
-    """Index map of gate ``label`` on n-level qudits: basis index i (a*n + b) goes to map[i]."""
-    i = np.arange(n)
-    k = -i % n
-    a, b = np.divmod(np.arange(n * n), n)  # the two qudits' levels at basis index a*n + b
+def _index_map(n: int, label: str, levels: tuple | None = None) -> np.ndarray:
+    """Index map of gate ``label`` on n-level qudits: basis index i (a*n + b) goes to map[i].
 
-    def factor(name: str) -> np.ndarray:
-        match name:
-            case "sigma1":
-                return (i + 1) % n
-            case "k":
-                return k
-            case "cshift":
-                return a * n + (a + b) % n
-            case "cshift-rev":
-                return (a + b) % n * n + b
-            case "swap":
-                return b * n + a
-            case "k x 1":
-                return k[a] * n + b
-            case "1 x k":
-                return a * n + k[b]
-        raise KeyError(name)
-
-    if label != "swap-composed":
-        return factor(label)
-    # C_Sigma (K x 1) C~_Sigma (K x 1) C_Sigma (1 x K), rightmost factor first, all from
-    # the one set of level arrays above
-    cs, k1 = factor("cshift"), factor("k x 1")
-    return cs[k1[factor("cshift-rev")[k1[cs[factor("1 x k")]]]]]
+    ``levels`` is the ``(i, k, a, b)`` set below, which the six-gate product hands to its
+    factors so that it is formed once."""
+    if levels is None:
+        i = np.arange(n)
+        k = -i % n
+        a, b = np.divmod(np.arange(n * n), n)  # the two qudits' levels at basis index a*n + b
+    else:
+        i, k, a, b = levels
+    match label:
+        case "sigma1":
+            return (i + 1) % n
+        case "k":
+            return k
+        case "cshift":
+            return a * n + (a + b) % n
+        case "cshift-rev":
+            return (a + b) % n * n + b
+        case "swap":
+            return b * n + a
+        case "k x 1":
+            return k[a] * n + b
+        case "1 x k":
+            return a * n + k[b]
+        case "swap-composed":
+            # C_Sigma (K x 1) C~_Sigma (K x 1) C_Sigma (1 x K), rightmost factor first
+            levels = i, k, a, b
+            cs, k1 = _index_map(n, "cshift", levels), _index_map(n, "k x 1", levels)
+            rev = _index_map(n, "cshift-rev", levels)
+            return cs[k1[rev[k1[cs[_index_map(n, "1 x k", levels)]]]]]
+    raise KeyError(label)
 
 
 def _permutation(d, label: str) -> QuditGate:

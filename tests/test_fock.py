@@ -586,7 +586,8 @@ def _reference_exchange_groups(theta: float, n_max: int) -> list:
     theta = math.fmod(theta, math.tau)
     t = (math.pi / 2) * complex(math.cos(theta), math.sin(theta))
     phases = fock._phase_diagonal(-theta, 1, c) * fock._phase_diagonal(theta + math.pi, 2, c)
-    return [(idx, idx, phases[idx, None] * b) for idx, _, b in _reference_beamsplitter_groups(t, n_max)]
+    return [(idx, idx, phases[idx, None] * b)
+            for idx, _, b in _reference_beamsplitter_groups(t, n_max)]
 
 
 def _reference_clone(x, t, n_max: int) -> np.ndarray:
@@ -630,7 +631,8 @@ def test_fock_operators_keep_the_bytes_of_one_rotation_per_block(n_max):
              [_rotation_per_block("squeeze", r, n_max, abs(z), cmath.phase(z)) for r in (0, 1)]),
         ]
     for theta in [0.0, 0.4, -1.9, 2 * math.pi + 0.5, 1e5]:
-        cases.append((fock.exchange_protocol(theta, n_max), _reference_exchange_groups(theta, n_max)))
+        cases.append((fock.exchange_protocol(theta, n_max),
+                      _reference_exchange_groups(theta, n_max)))
     for op, want in cases:
         assert _bytes(op._groups) == _bytes(want), op.label
 

@@ -339,7 +339,7 @@ QUDIT_FAULTS = [
     _fault("reverse-is-identity", "k = -i % n", "k = i % n", ["swap-decomposition"]),
     _fault("cshift-subtracts", "a * n + (a + b) % n", "a * n + (a - b) % n",
            ["swap-decomposition"]),
-    _fault("swap-composed-without-1xk", '[k1[cs[factor("1 x k")]]]', "[k1[cs]]",
+    _fault("swap-composed-without-1xk", '[k1[cs[_index_map(n, "1 x k", levels)]]]', "[k1[cs]]",
            ["swap-decomposition"]),
     _fault("cshift-not-a-bijection", "a * n + (a + b) % n", "a * n + (a * b) % n",
            ["basis-cloning", "permutation-structure", "swap-decomposition"]),
