@@ -7,7 +7,10 @@ are pure, so results are safe to share across threads. ``gates.QuditGate`` and
 
 from __future__ import annotations
 
+import math
 import numbers
+import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +50,8 @@ class QuditDim:
     d: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "d", _integer(self.d, "qudit dimension"))
-        if self.d < 2:
-            raise ValueError(f"qudit dimension must be >= 2, got {self.d}")
+        object.__setattr__(self, "d", _size(self.d, "qudit dimension", 2, "the two-qudit "
+                                            "dimension d^2"))
 
     @property
     def zeta(self) -> complex:
@@ -102,16 +104,49 @@ def _pair(z: complex) -> list[float]:
 
 
 def _integer(x, what: str) -> int:
-    """``x`` as an int: 8, numpy ints and 8.0 pass; 8.9, inf, nan and "8" raise ValueError."""
-    if isinstance(x, str) or not float(x).is_integer():
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return int(x)
+    """``x`` as an int, exactly: ints of any size, numpy ints and integral reals such as 8.0
+    pass; 8.9, inf, nan, "8", None, [3] and 3+0j raise ValueError."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        pass
+    if isinstance(x, numbers.Real):
+        try:
+            n = int(x)  # inf raises OverflowError, nan ValueError
+        except (OverflowError, ValueError):
+            pass
+        else:
+            if n == x:
+                return n
+    raise ValueError(f"{what} must be an integer, got {x!r}")
+
+
+def _size(x, what: str, least: int, square: str = "", extra: int = 0) -> int:
+    """``x`` as an integral size of at least ``least``, the one rule for every size.
+
+    A size with a ``square`` is that of one of two systems of x + ``extra`` levels each, and
+    their joint basis of (x + extra)^2 entries must fit an axis of numpy's index range (intp,
+    at most sys.maxsize entries); any other size is itself the length of an axis. Raises
+    ValueError naming the size, before anything is allocated.
+    """
+    n = _integer(x, what)
+    if n < least:
+        raise ValueError(f"{what} must be >= {least}, got {n}")
+    if (n + extra) ** (2 if square else 1) > sys.maxsize:
+        raise ValueError(f"{what} {x!r} is too large: "
+                         f"{square or 'an axis of that length'} exceeds numpy's index range")
+    return n
+
+
+# the largest qudit dimension that ``_size`` accepts
+_MAX_LEVELS = math.isqrt(sys.maxsize)
 
 
 def _levels(d) -> int:
     """Accept either an integral level count or a QuditDim and return the level count;
-    a plain ``int >= 2`` is returned at once, anything else is validated by ``QuditDim``."""
-    if type(d) is int and d >= 2:
+    an ``int`` in 2.._MAX_LEVELS is returned at once, anything else is validated by
+    ``QuditDim``."""
+    if type(d) is int and 2 <= d <= _MAX_LEVELS:
         return d
     return (d if isinstance(d, QuditDim) else QuditDim(d)).d
 
@@ -137,7 +172,7 @@ def basis_state(j: int, dim: int) -> np.ndarray:
 
     Raises ValueError unless j and dim are integers with 0 <= j < dim.
     """
-    j, dim = _integer(j, "basis index"), _integer(dim, "dimension")
+    j, dim = _integer(j, "basis index"), _size(dim, "dimension", 1)
     if not (0 <= j < dim):
         raise ValueError(f"basis index {j} out of range for dim={dim}")
     state = np.zeros(dim, dtype=complex)

@@ -33,14 +33,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _igam
-from .core import TruncationWarning, _integer, _Operator
+from .core import TruncationWarning, _integer, _Operator, _size
 
 __all__ = [
     "BeamsplitterParam",
@@ -75,14 +74,8 @@ class FockCutoff:
     n_max: int
 
     def __post_init__(self) -> None:
-        n_max = _integer(self.n_max, "cutoff")
-        if n_max < 1:
-            raise ValueError(f"cutoff must be >= 1, got {n_max}")
-        # every two-mode basis index n1 (n_max + 1) + n2 must fit numpy's intp, sys.maxsize
-        if (n_max + 1) ** 2 > sys.maxsize + 1:
-            raise ValueError(f"cutoff {self.n_max!r} is too large: the two-mode dimension "
-                             f"(n_max + 1)^2 exceeds numpy's index range")
-        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "n_max", _size(self.n_max, "cutoff", 1, "the two-mode "
+                                                "dimension (n_max + 1)^2", extra=1))
 
     @property
     def dim(self) -> int:
@@ -317,29 +310,67 @@ def _chain_spectrum(chain: str, n: int, n_max: int) -> tuple[np.ndarray, ...]:
     return idx, steps, w, v
 
 
-def _rotations(chain: str, ns, c: FockCutoff, modulus: float, phase: float) -> list[tuple]:
-    """The groups (idx, idx, exp(-i modulus P R P*)) of the chains ``ns`` of ``_chain_spectrum``,
-    each as P v e^(-i modulus w) v^T P* with P = diag(e^(i(phase + pi/2) steps)).
+def _cores(chain: str, ns, c: FockCutoff, modulus: float) -> tuple[np.ndarray, list[tuple]]:
+    """The part of exp(-i modulus P R P*) that does not depend on the phase, for the chains
+    ``ns`` of ``_chain_spectrum``: their ``steps`` end to end, and for each chain
+    ``(idx, part, v e^(-i modulus w) v^T)``, ``part`` being the slice of those steps that is
+    its own.
 
-    The phase vector and the eigenphases of every chain are computed in one numpy call each;
-    each block is multiplied out on its own, since a stack of blocks would move some bits.
-    A modulus whose product with a spectrum is not finite raises ValueError.
+    The eigenphases of every chain are computed in one numpy call; each core is multiplied
+    out on its own, since a stack of blocks would move some bits. A modulus whose product
+    with a spectrum is not finite raises ValueError.
     """
     spectra = [_chain_spectrum(chain, n, c.n_max) for n in ns]
     if not spectra:  # a zero clone input occupies no chain
-        return []
+        return np.arange(0), []
     # each w is symmetric about 0, so w[-1] is its largest modulus
     if not math.isfinite(modulus * max(float(w[-1]) for _, _, w, _ in spectra)):
         raise ValueError(f"exponential of a non-finite generator (modulus {modulus})")
-    phases = np.exp(1j * (phase + math.pi / 2) * np.arange(c.dim))
-    phases_conj = phases.conj()
     eigenphases = np.exp(-1j * modulus * np.concatenate([w for _, _, w, _ in spectra]))
-    groups, end = [], 0
-    for idx, steps, w, v in spectra:
-        start, end = end, end + len(w)
-        rotation = (v * eigenphases[start:end]) @ v.T
-        groups.append((idx, idx, phases[steps][:, None] * rotation * phases_conj[steps]))
-    return groups
+    cores, end = [], 0
+    for idx, _, w, v in spectra:
+        part = slice(end, end + len(w))
+        end = part.stop
+        cores.append((idx, part, (v * eigenphases[part]) @ v.T))
+    return np.concatenate([steps for _, steps, _, _ in spectra]), cores
+
+
+def _phased(steps: np.ndarray, cores: list, c: FockCutoff, phase: float):
+    """Yields the groups (idx, idx, P core P*) of ``_cores``, P = diag(e^(i(phase + pi/2) steps)),
+    one at a time, so that a caller that multiplies each block further holds one at a time.
+
+    The phase vector is computed once, and its entries at every chain's steps are read out
+    in one call, so that each block takes its rows and columns of P as a slice.
+    """
+    phases = np.exp(1j * (phase + math.pi / 2) * np.arange(c.dim))
+    left, right = phases[steps][:, None], phases.conj()[steps]
+    for idx, part, core in cores:
+        yield idx, idx, left[part] * core * right[part]
+
+
+def _rotations(chain: str, ns, c: FockCutoff, modulus: float, phase: float) -> list[tuple]:
+    """The groups (idx, idx, exp(-i modulus P R P*)) of the chains ``ns`` of ``_chain_spectrum``,
+    each as P v e^(-i modulus w) v^T P*: ``_cores``, then ``_phased``."""
+    return list(_phased(*_cores(chain, ns, c, modulus), c, phase))
+
+
+# The modulus |(pi/2) e^(i theta)| of the half-wave strength takes three values, pi/2 and
+# pi/2 -+ 2.2e-16, so one cutoff has at most three entries: nine serve three cutoffs, as a
+# session of short calls at n_max 6-8 uses. An entry holds 16 bytes per entry of its blocks:
+# 7.8 KB at n_max 8, 384 KB at n_max 32 and 2.9 MB at n_max 64.
+_EXCHANGE_CORES = 9
+
+
+@functools.lru_cache(maxsize=_EXCHANGE_CORES)
+def _exchange_cores(n_max: int, modulus: float) -> tuple:
+    """``(steps, idx, cores)``: the ``_cores`` of every beamsplitter block at ``modulus`` and
+    the blocks' indices end to end. Every array is read-only, so no caller can change what
+    later calls read."""
+    steps, cores = _cores("beamsplitter", range(2 * n_max + 1), FockCutoff(n_max), modulus)
+    idx = np.concatenate([i for i, _, _ in cores])
+    for a in (steps, idx, *(core for _, _, core in cores)):
+        a.setflags(write=False)
+    return steps, idx, tuple(cores)
 
 
 def beamsplitter(t, cutoff) -> ModeOperator:
@@ -374,13 +405,18 @@ def beamsplitter_blockwise(t, cutoff) -> ModeOperator:
     return beamsplitter(t, cutoff)
 
 
+def _mode_phases(theta: float, c: FockCutoff) -> np.ndarray:
+    """The one-mode diagonal e^(i theta n), n = 0..n_max."""
+    return np.exp(1j * theta * np.arange(c.dim))
+
+
 def _phase_diagonal(theta: float, mode: int, c: FockCutoff) -> np.ndarray:
     """Diagonal of V_mode(theta) = exp(i theta N_mode) on the two-mode space."""
     if not math.isfinite(float(theta) * c.n_max):  # theta n_max is the largest phase
         raise ValueError(f"theta must be finite, as must theta * n_max; got {theta!r}")
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
-    phases = np.exp(1j * theta * np.arange(c.dim))
+    phases = _mode_phases(theta, c)
     ones = np.ones(c.dim)
     return (phases[:, None] * ones if mode == 1 else ones[:, None] * phases).ravel()
 
@@ -410,9 +446,14 @@ def exchange_protocol(theta: float, cutoff) -> ModeOperator:
 
     At finite cutoff the swap is exact on blocks of total photon number
     <= n_max; inputs with weight above that leak infidelity of the order of
-    their truncation weight. The blocks of U_J(t) come straight from the
-    rotation pass that ``beamsplitter`` uses, and each is multiplied by its
-    rows of the phase diagonal.
+    their truncation weight. The blocks of U_J(t) come from the two steps of
+    the rotation pass that ``beamsplitter`` uses. Their cores v e^(-i|t|w) v^T
+    depend on |t| alone, which takes three values here, pi/2 and pi/2 -+ 2.2e-16,
+    so they are read from a per-process memo keyed by the cutoff and |t|
+    (``_exchange_cores``: nine read-only entries, 7.8 KB each at n_max 8, 384 KB
+    at n_max 32, 2.9 MB at n_max 64); each call runs the phase step and
+    multiplies each block by its rows of V1(-theta) (x) V2(theta + pi), the outer
+    product of the two one-mode phase vectors.
     """
     c = _cutoff(cutoff)
     if not math.isfinite(theta):  # before fmod, which raises a bare "math domain error"
@@ -420,9 +461,12 @@ def exchange_protocol(theta: float, cutoff) -> ModeOperator:
     theta = math.fmod(theta, math.tau)
     t = (math.pi / 2) * complex(math.cos(theta), math.sin(theta))
     p = _param(t)
-    phases = _phase_diagonal(-theta, 1, c) * _phase_diagonal(theta + math.pi, 2, c)
-    blocks = [(idx, idx, phases[idx][:, None] * b) for idx, _, b in
-              _rotations("beamsplitter", range(2 * c.n_max + 1), c, p.modulus, p.phase)]
+    steps, idx, cores = _exchange_cores(c.n_max, p.modulus)
+    # the two-mode diagonal of V1(-theta) V2(theta + pi), at the blocks' indices end to end
+    rows = (_mode_phases(-theta, c)[:, None] * _mode_phases(theta + math.pi, c)).ravel()
+    rows = rows[idx][:, None]
+    blocks = [(i, i, rows[part] * b)
+              for (i, _, b), (_, part, _) in zip(_phased(steps, cores, c, p.phase), cores)]
     return ModeOperator._from_groups(blocks, "exchange", cutoff=c)
 
 
@@ -469,11 +513,12 @@ def imperfect_clone_numeric(x, t, cutoff) -> np.ndarray:
     # x (x) |0> has its level-n amplitude on the last basis vector
     # (n1 = n) of block n, so only that column of each occupied block is used
     modulus, phase = p.modulus, p.phase
-    v2 = _phase_diagonal(phase + math.pi, 2, c)
+    # block n <= n_max holds n1 = 0..n, so its n2 = n..0 are the last n + 1 levels of V2 reversed
+    v2 = _mode_phases(phase + math.pi, c)[::-1].copy()
     down = (slice(None),) + (None,) * (x.ndim - 1)  # a block's factors, broadcast over columns
     out = np.zeros((c.dim2, *x.shape[1:]), dtype=complex)
     for n, (idx, _, block) in zip(levels, _rotations("beamsplitter", levels, c, modulus, phase)):
-        out[idx] = x[n] * v2[idx][down] * block[:, -1][down]
+        out[idx] = x[n] * v2[c.n_max - n:][down] * block[:, -1][down]
     return out
 
 

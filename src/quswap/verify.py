@@ -172,9 +172,7 @@ def _suite(suite: str, size: int) -> list[VerificationReport]:
 
 def qudit_checks(d_max: int = 8) -> list[VerificationReport]:
     """All qudit-gate invariants for every d in 2..d_max."""
-    d_max = core._integer(d_max, "d_max")
-    if d_max < 2:
-        raise ValueError(f"d_max must be >= 2, got {d_max}")
+    d_max = core._size(d_max, "d_max", 2, "the two-qudit dimension d_max^2")
     return [report for d in range(2, d_max + 1) for report in _suite("qudit", d)]
 
 

@@ -45,6 +45,9 @@ def test_mod_add_rejects_out_of_range():
         core.mod_add(3, 0, 3)
     with pytest.raises(ValueError):
         core.mod_add(0, -1, 3)
+    # an int past the index range takes the full check, not the fast path, which returned 2
+    with pytest.raises(ValueError, match="qudit dimension .* is too large"):
+        core.mod_add(1, 1, 10**400)
 
 
 @pytest.mark.parametrize("bad", [(0.5, 1), (1, 0.5), (math.nan, 0), (0, math.inf), ("1", 0)])
@@ -369,10 +372,22 @@ SIZED_IDS = ["QuditDim", "sigma1", "FockCutoff", "basis_state", "coherent_state"
 
 
 @pytest.mark.parametrize("build, size", SIZED, ids=SIZED_IDS)
-@pytest.mark.parametrize("bad", [2.5, 8.9, math.inf, math.nan, "8"])
+@pytest.mark.parametrize("bad", [2.5, 8.9, math.inf, math.nan, "8", None, [3], 3 + 0j])
 def test_non_integral_sizes_are_rejected(build, size, bad):
-    with pytest.raises(ValueError, match="must be an integer"):
+    # None, [3] and 3+0j raised TypeError from float()
+    with pytest.raises(ValueError, match="must be an integer") as caught:
         build(bad)
+    assert "\n" not in str(caught.value)
+
+
+@pytest.mark.parametrize("build, size", SIZED, ids=SIZED_IDS)
+@pytest.mark.parametrize("bad", [10**400, 1e308], ids=["10**400", "1e308"])
+def test_sizes_beyond_numpy_index_range_are_rejected(build, size, bad):
+    # each is rejected before anything is allocated; 10**400 raised OverflowError from
+    # float(), and a qudit size of 1e308 numpy's "Maximum allowed size exceeded"
+    with pytest.raises(ValueError, match="is too large: .* exceeds numpy's index range") as caught:
+        build(bad)
+    assert "\n" not in str(caught.value)
 
 
 @pytest.mark.parametrize("build, size", SIZED, ids=SIZED_IDS)

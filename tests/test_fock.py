@@ -156,10 +156,12 @@ def test_coherent_rejects_parameter_whose_square_overflows(z):
 @pytest.mark.parametrize("project", [fock.level_projector, fock.total_number_projector])
 def test_projectors_take_integral_levels_only(project):
     # a fractional level kept the levels below it, and nan gave the zero projector
-    for level in (2.5, math.nan, "3"):
+    for level in (2.5, math.nan, "3", None, 3 + 0j):
         with pytest.raises(ValueError, match="must be an integer"):
             project(8, level)
     assert np.array_equal(project(8, 3.0), project(8, 3))
+    # a level beyond float range keeps every level; it raised OverflowError
+    assert np.array_equal(project(8, 10**400), project(8, 16))
 
 
 def test_truncation_weight_matches_poisson_tail():
@@ -635,6 +637,38 @@ def test_fock_operators_keep_the_bytes_of_one_rotation_per_block(n_max):
                       _reference_exchange_groups(theta, n_max)))
     for op, want in cases:
         assert _bytes(op._groups) == _bytes(want), op.label
+
+
+# |(pi/2) e^(i theta)| is pi/2, pi/2 - 2.2e-16 and pi/2 + 2.2e-16 at these theta
+MEMO_THETAS = [0.01, 0.02, 0.08]
+
+
+def _exchange_modulus(theta: float) -> float:
+    """|t| of the exchange's half-wave beamsplitter, formed as ``exchange_protocol`` forms it."""
+    return fock.BeamsplitterParam((math.pi / 2) * complex(math.cos(theta), math.sin(theta))).modulus
+
+
+@pytest.mark.parametrize("n_max", [1, 8, 32, 64])
+def test_exchange_keeps_its_bytes_on_a_cold_and_a_warm_core_memo(n_max):
+    fock._exchange_cores.cache_clear()
+    for _ in ("cold", "warm"):
+        for theta in MEMO_THETAS:
+            assert (_bytes(fock.exchange_protocol(theta, n_max)._groups)
+                    == _bytes(_reference_exchange_groups(theta, n_max))), theta
+    moduli = sorted({_exchange_modulus(theta) for theta in MEMO_THETAS})
+    assert len(moduli) == 3  # so every modulus the half-wave strength takes is covered
+    info = fock._exchange_cores.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
+    cached = []
+    for modulus in moduli:
+        steps, idx, cores = fock._exchange_cores(n_max, modulus)
+        assert not any(a.flags.writeable for a in (steps, idx, *(core for _, _, core in cores)))
+        # each entry holds the cores of its own modulus, multiplied out block by block
+        for n, (_, _, core) in enumerate(cores):
+            _, _, w, v = fock._chain_spectrum("beamsplitter", n, n_max)
+            assert core.tobytes() == ((v * np.exp(-1j * modulus * w)) @ v.T).tobytes()
+        cached.append(b"".join(core.tobytes() for _, _, core in cores))
+    assert len(set(cached)) == 3  # the three moduli give three sets of bytes
 
 
 @pytest.mark.filterwarnings("ignore::quswap.fock.TruncationWarning")
