@@ -121,6 +121,19 @@ def _integer(x, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
+def _number(x, what: str, real: bool = False):
+    """``x`` as a complex strength, or with ``real`` a float angle, not yet checked for
+    finiteness; "0.3", b"1", None, [0.3], an int beyond float range and 0.3j as an angle raise
+    ValueError."""
+    kind = "a real number" if real else "a complex number"
+    if isinstance(x, numbers.Real if real else numbers.Complex):
+        try:
+            return float(x) if real else complex(x)
+        except OverflowError:  # an int's repr may exceed Python's digit limit, so it is not named
+            raise ValueError(f"{what} must be {kind} within float range") from None
+    raise ValueError(f"{what} must be {kind}, got {x!r}")
+
+
 def _size(x, what: str, least: int, square: str = "", extra: int = 0) -> int:
     """``x`` as an integral size of at least ``least``, the one rule for every size.
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _igam
-from .core import TruncationWarning, _integer, _Operator, _size
+from .core import TruncationWarning, _integer, _number, _Operator, _size, _vector
 
 __all__ = [
     "BeamsplitterParam",
@@ -115,7 +115,7 @@ class BeamsplitterParam:
     t: complex
 
     def __post_init__(self) -> None:
-        t = complex(self.t)
+        t = _number(self.t, "beamsplitter parameter")
         if not (math.isfinite(t.real) and math.isfinite(t.imag)):
             raise ValueError("beamsplitter parameter must be finite")
         object.__setattr__(self, "t", t)
@@ -130,7 +130,7 @@ class BeamsplitterParam:
 
 
 def _param(t) -> BeamsplitterParam:
-    return t if isinstance(t, BeamsplitterParam) else BeamsplitterParam(complex(t))
+    return t if isinstance(t, BeamsplitterParam) else BeamsplitterParam(t)
 
 
 def _band(c: FockCutoff, k: int, values, label: str) -> ModeOperator:
@@ -172,7 +172,7 @@ def coherent_truncation_weight(z: complex, cutoff) -> float:
     Raises ValueError when z is not finite or |z|^2 overflows a float.
     """
     c = _cutoff(cutoff)
-    z = complex(z)
+    z = _number(z, "coherent parameter")
     if not cmath.isfinite(z):
         raise ValueError(f"coherent parameter must be finite, got {z}")
     try:
@@ -191,7 +191,7 @@ def coherent_state(z: complex, cutoff) -> np.ndarray:
     is not finite, or whose |z|^2 overflows a float, raises ValueError.
     """
     c = _cutoff(cutoff)
-    z = complex(z)
+    z = _number(z, "coherent parameter")
     weight = coherent_truncation_weight(z, c)  # rejects a non-finite z or an overflowing |z|^2
     if abs(z) ** 2 > c.n_max / 4 or weight > 1e-8:
         warnings.warn(
@@ -221,7 +221,7 @@ def displacement(z: complex, cutoff) -> ModeOperator:
     on z and is kept per cutoff (``_rotations``).
     """
     c = _cutoff(cutoff)
-    z = complex(z)
+    z = _number(z, "displacement parameter")
     blocks = _rotations("displacement", [0], c, abs(z), cmath.phase(z))
     return ModeOperator._from_groups(blocks, "displacement", cutoff=c)
 
@@ -253,6 +253,7 @@ def squeeze(w: complex, cutoff) -> ModeOperator:
     parity and cutoff (``_rotations``).
     """
     c = _cutoff(cutoff)
+    w = _number(w, "squeeze parameter")
     if abs(w) > 1:
         warnings.warn(
             f"squeeze parameter |w|={abs(w):.3f} > 1 is poorly represented "
@@ -260,7 +261,6 @@ def squeeze(w: complex, cutoff) -> ModeOperator:
             TruncationWarning,
             stacklevel=2,
         )
-    w = complex(w)
     blocks = _rotations("squeeze", (0, 1), c, abs(w), cmath.phase(w))
     return ModeOperator._from_groups(blocks, "squeeze", cutoff=c)
 
@@ -335,23 +335,25 @@ def _cores(chain: str, ns, c: FockCutoff, modulus: float) -> tuple[np.ndarray, l
     return np.concatenate([steps for _, steps, _, _ in spectra]), cores
 
 
-def _phased(steps: np.ndarray, cores: list, c: FockCutoff, phase: float):
-    """Yields the groups (idx, idx, P core P*) of ``_cores``, P = diag(e^(i(phase + pi/2) steps)),
-    one at a time, so that a caller that multiplies each block further holds one at a time.
+def _mode_phases(theta: float, c: FockCutoff) -> np.ndarray:
+    """The one-mode diagonal e^(i theta n), n = 0..n_max."""
+    return np.exp(1j * theta * np.arange(c.dim))
 
-    The phase vector is computed once, and its entries at every chain's steps are read out
-    in one call, so that each block takes its rows and columns of P as a slice.
-    """
-    phases = np.exp(1j * (phase + math.pi / 2) * np.arange(c.dim))
-    left, right = phases[steps][:, None], phases.conj()[steps]
-    for idx, part, core in cores:
-        yield idx, idx, left[part] * core * right[part]
+
+def _phases(steps: np.ndarray, phase: float, c: FockCutoff) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``P[:, None]`` and columns ``conj(P)`` of P = diag(e^(i(phase + pi/2) k)) at the
+    chains' ``steps`` of ``_cores``, read out in one call, so that a chain's ``part`` slices
+    its own: the phase step of every Fock rotation, ``left[part] * core * right[part]``."""
+    p = _mode_phases(phase + math.pi / 2, c)[steps]
+    return p[:, None], p.conj()
 
 
 def _rotations(chain: str, ns, c: FockCutoff, modulus: float, phase: float) -> list[tuple]:
     """The groups (idx, idx, exp(-i modulus P R P*)) of the chains ``ns`` of ``_chain_spectrum``,
-    each as P v e^(-i modulus w) v^T P*: ``_cores``, then ``_phased``."""
-    return list(_phased(*_cores(chain, ns, c, modulus), c, phase))
+    each as P v e^(-i modulus w) v^T P*: ``_cores``, then the phase step of ``_phases``."""
+    steps, cores = _cores(chain, ns, c, modulus)
+    left, right = _phases(steps, phase, c)
+    return [(idx, idx, left[part] * core * right[part]) for idx, part, core in cores]
 
 
 # The modulus |(pi/2) e^(i theta)| of the half-wave strength takes three values, pi/2 and
@@ -405,30 +407,22 @@ def beamsplitter_blockwise(t, cutoff) -> ModeOperator:
     return beamsplitter(t, cutoff)
 
 
-def _mode_phases(theta: float, c: FockCutoff) -> np.ndarray:
-    """The one-mode diagonal e^(i theta n), n = 0..n_max."""
-    return np.exp(1j * theta * np.arange(c.dim))
-
-
-def _phase_diagonal(theta: float, mode: int, c: FockCutoff) -> np.ndarray:
-    """Diagonal of V_mode(theta) = exp(i theta N_mode) on the two-mode space."""
-    if not math.isfinite(float(theta) * c.n_max):  # theta n_max is the largest phase
-        raise ValueError(f"theta must be finite, as must theta * n_max; got {theta!r}")
-    if mode not in (1, 2):
-        raise ValueError(f"mode must be 1 or 2, got {mode}")
-    phases = _mode_phases(theta, c)
-    ones = np.ones(c.dim)
-    return (phases[:, None] * ones if mode == 1 else ones[:, None] * phases).ravel()
-
-
 def phase_op(theta: float, mode: int, cutoff) -> ModeOperator:
     """Two-mode phase rotation V_mode(theta) = exp(i theta N_mode).
 
     Diagonal with entries e^(i theta n) on the selected mode, kept as one entry per
-    row; sends a coherent parameter z to e^(i theta) z.
+    row, on mode 1 or 2; sends a coherent parameter z to e^(i theta) z.
     """
     c = _cutoff(cutoff)
-    return _band(c, 0, _phase_diagonal(theta, mode, c), f"phase-mode{mode}")
+    theta = _number(theta, "theta", real=True)
+    if not math.isfinite(theta * c.n_max):  # theta n_max is the largest phase
+        raise ValueError(f"theta must be finite, as must theta * n_max; got {theta!r}")
+    mode = _integer(mode, "mode")
+    if mode not in (1, 2):
+        raise ValueError(f"mode must be 1 or 2, got {mode}")
+    phases, ones = _mode_phases(theta, c), np.ones(c.dim)
+    diagonal = phases[:, None] * ones if mode == 1 else ones[:, None] * phases
+    return _band(c, 0, diagonal.ravel(), f"phase-mode{mode}")
 
 
 def exchange_protocol(theta: float, cutoff) -> ModeOperator:
@@ -446,27 +440,26 @@ def exchange_protocol(theta: float, cutoff) -> ModeOperator:
 
     At finite cutoff the swap is exact on blocks of total photon number
     <= n_max; inputs with weight above that leak infidelity of the order of
-    their truncation weight. The blocks of U_J(t) come from the two steps of
-    the rotation pass that ``beamsplitter`` uses. Their cores v e^(-i|t|w) v^T
-    depend on |t| alone, which takes three values here, pi/2 and pi/2 -+ 2.2e-16,
-    so they are read from a per-process memo keyed by the cutoff and |t|
-    (``_exchange_cores``: nine read-only entries, 7.8 KB each at n_max 8, 384 KB
-    at n_max 32, 2.9 MB at n_max 64); each call runs the phase step and
-    multiplies each block by its rows of V1(-theta) (x) V2(theta + pi), the outer
-    product of the two one-mode phase vectors.
+    their truncation weight. The blocks of U_J(t) are the beamsplitter's. Their
+    cores v e^(-i|t|w) v^T depend on |t| alone, which takes three values here, pi/2
+    and pi/2 -+ 2.2e-16, so they are read from a per-process memo keyed by the cutoff
+    and |t| (``_exchange_cores``); each call phases them with ``_phases``, as every
+    Fock rotation is phased, and multiplies each block by its rows of V1(-theta) (x)
+    V2(theta + pi), the outer product of the two one-mode phase vectors.
     """
     c = _cutoff(cutoff)
+    theta = _number(theta, "theta", real=True)
     if not math.isfinite(theta):  # before fmod, which raises a bare "math domain error"
         raise ValueError(f"theta must be finite, got {theta!r}")
     theta = math.fmod(theta, math.tau)
     t = (math.pi / 2) * complex(math.cos(theta), math.sin(theta))
     p = _param(t)
     steps, idx, cores = _exchange_cores(c.n_max, p.modulus)
+    left, right = _phases(steps, p.phase, c)
     # the two-mode diagonal of V1(-theta) V2(theta + pi), at the blocks' indices end to end
     rows = (_mode_phases(-theta, c)[:, None] * _mode_phases(theta + math.pi, c)).ravel()
     rows = rows[idx][:, None]
-    blocks = [(i, i, rows[part] * b)
-              for (i, _, b), (_, part, _) in zip(_phased(steps, cores, c, p.phase), cores)]
+    blocks = [(i, i, rows[part] * (left[part] * core * right[part])) for i, part, core in cores]
     return ModeOperator._from_groups(blocks, "exchange", cutoff=c)
 
 
@@ -492,12 +485,12 @@ def imperfect_clone_numeric(x, t, cutoff) -> np.ndarray:
     coherent state |z> (x) |0> to |cos|t| z> (x) |sin|t| z>. ``x`` is one
     state of at most n_max + 1 levels, giving a ``(dim2,)`` vector, or a
     ``(levels, m)`` stack of them as columns, giving a ``(dim2, m)`` stack
-    whose column j equals, bit for bit, the call on column j alone; each
-    occupied block of U_J(t) is built once per call. Warns when a column
-    carries more than 1e-8 weight above n_max/2, where the headroom for the
-    split output becomes questionable; the warning reports the largest such
-    weight. An entry that is not finite raises ValueError. The occupied blocks
-    come from one rotation pass, as in ``beamsplitter``.
+    whose column j equals, bit for bit, the call on column j alone. Warns when
+    a column carries more than 1e-8 weight above n_max/2, where the headroom
+    for the split output becomes questionable; the warning reports the largest
+    such weight. An entry that is not finite raises ValueError. The core of each
+    occupied block of U_J(t) comes from ``_cores`` once per call, as in
+    ``beamsplitter``, and ``_phases`` phases only the column that x (x) |0> reads.
     """
     c = _cutoff(cutoff)
     p = _param(t)
@@ -510,15 +503,17 @@ def imperfect_clone_numeric(x, t, cutoff) -> np.ndarray:
             TruncationWarning,
             stacklevel=2,
         )
-    # x (x) |0> has its level-n amplitude on the last basis vector
-    # (n1 = n) of block n, so only that column of each occupied block is used
+    # x (x) |0> has its level-n amplitude at n1 = n, the last column of block n: the one read
     modulus, phase = p.modulus, p.phase
+    steps, cores = _cores("beamsplitter", levels, c, modulus)
+    left, right = _phases(steps, phase, c)
     # block n <= n_max holds n1 = 0..n, so its n2 = n..0 are the last n + 1 levels of V2 reversed
     v2 = _mode_phases(phase + math.pi, c)[::-1].copy()
     down = (slice(None),) + (None,) * (x.ndim - 1)  # a block's factors, broadcast over columns
     out = np.zeros((c.dim2, *x.shape[1:]), dtype=complex)
-    for n, (idx, _, block) in zip(levels, _rotations("beamsplitter", levels, c, modulus, phase)):
-        out[idx] = x[n] * v2[c.n_max - n:][down] * block[:, -1][down]
+    for n, (idx, part, core) in zip(levels, cores):
+        column = left[part, 0] * core[:, -1] * right[part.stop - 1]
+        out[idx] = x[n] * v2[c.n_max - n:][down] * column[down]
     return out
 
 
@@ -566,7 +561,11 @@ def total_number_projector(cutoff, max_total: int) -> np.ndarray:
 
 
 def mode2_marginal(state, cutoff) -> np.ndarray:
-    """Reduced density matrix of the second mode of a two-mode pure state."""
+    """Reduced density matrix of the second mode of a two-mode pure state, a vector of
+    length (n_max + 1)^2; any other shape raises ValueError."""
     c = _cutoff(cutoff)
-    v = np.asarray(state, dtype=complex).reshape(c.dim, c.dim)
+    v = _vector(state, "two-mode")
+    if len(v) != c.dim2:
+        raise ValueError(f"two-mode state must have length {c.dim2}, got {len(v)}")
+    v = v.reshape(c.dim, c.dim)
     return v.T @ v.conj()

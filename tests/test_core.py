@@ -313,7 +313,9 @@ NOT_VECTORS = {
     lambda x: core.fidelity(x, core.basis_state(0, 2)),
     lambda x: core.tensor_state([1, 0], x),
     lambda x: core.tensor_state(x, [1, 0]),
-], ids=["fidelity-both", "fidelity-second", "fidelity-first", "tensor-second", "tensor-first"])
+    lambda x: fock.mode2_marginal(x, 1),
+], ids=["fidelity-both", "fidelity-second", "fidelity-first", "tensor-second", "tensor-first",
+        "mode2_marginal"])
 def test_state_functions_reject_inputs_that_are_not_vectors(call, bad):
     with pytest.raises(ValueError, match="must be a vector"):
         call(bad)

@@ -240,6 +240,15 @@ def test_mode2_marginal_of_complex_states(seed):
     assert core.max_abs(want - want.T) > 1e-3
 
 
+def test_mode2_marginal_takes_a_two_mode_vector_only():
+    # a 9 x 9 matrix gave a 9 x 9 "marginal", and a wrong length numpy's reshape text
+    with pytest.raises(ValueError, match=r"^two-mode state must be a vector, got shape \(9, 9\)$"):
+        fock.mode2_marginal(np.eye(9) / 3, 8)
+    for length in (80, 9, 0):
+        with pytest.raises(ValueError, match=f"^two-mode state must have length 81, got {length}$"):
+            fock.mode2_marginal(np.ones(length), 8)
+
+
 def test_clone_warns_on_top_heavy_input():
     n_max = 8
     x = core.basis_state(7, n_max + 1)

@@ -1,4 +1,5 @@
 import cmath
+import fractions
 import math
 import tracemalloc
 import warnings
@@ -583,11 +584,16 @@ def _reference_beamsplitter_groups(t, n_max: int) -> list:
             for n in range(2 * n_max + 1)]
 
 
+def _phase_diagonal(theta: float, mode: int, n_max: int) -> np.ndarray:
+    """The diagonal of V_mode(theta) = exp(i theta N_mode) on the whole two-mode basis."""
+    phases, ones = np.exp(1j * theta * np.arange(n_max + 1)), np.ones(n_max + 1)
+    return (phases[:, None] * ones if mode == 1 else ones[:, None] * phases).ravel()
+
+
 def _reference_exchange_groups(theta: float, n_max: int) -> list:
-    c = fock.FockCutoff(n_max)
     theta = math.fmod(theta, math.tau)
     t = (math.pi / 2) * complex(math.cos(theta), math.sin(theta))
-    phases = fock._phase_diagonal(-theta, 1, c) * fock._phase_diagonal(theta + math.pi, 2, c)
+    phases = _phase_diagonal(-theta, 1, n_max) * _phase_diagonal(theta + math.pi, 2, n_max)
     return [(idx, idx, phases[idx, None] * b)
             for idx, _, b in _reference_beamsplitter_groups(t, n_max)]
 
@@ -596,7 +602,7 @@ def _reference_clone(x, t, n_max: int) -> np.ndarray:
     c = fock.FockCutoff(n_max)
     p = fock.BeamsplitterParam(t)
     x = np.asarray(x, dtype=complex)
-    v2 = fock._phase_diagonal(p.phase + math.pi, 2, c)
+    v2 = _phase_diagonal(p.phase + math.pi, 2, n_max)
     down = (slice(None),) + (None,) * (x.ndim - 1)
     out = np.zeros((c.dim2, *x.shape[1:]), dtype=complex)
     for n in np.flatnonzero(x if x.ndim == 1 else x.any(axis=1)).tolist():
@@ -749,8 +755,20 @@ def test_phase_op_rotates_coherent_parameter():
 
 
 def test_phase_op_rejects_bad_mode():
-    with pytest.raises(ValueError):
-        fock.phase_op(0.1, 3, CUT)
+    for mode in (3, 0, -1, 2**70):
+        with pytest.raises(ValueError, match=f"^mode must be 1 or 2, got {mode}$"):
+            fock.phase_op(0.1, mode, CUT)
+    for mode in (1.5, math.nan, "1", None, [1], 1j):
+        with pytest.raises(ValueError, match="^mode must be an integer, got "):
+            fock.phase_op(0.1, mode, CUT)
+
+
+@pytest.mark.parametrize("mode,want", [(True, 1), (1.0, 1), (np.int64(2), 2), (2.0, 2)])
+def test_phase_op_reads_an_integral_mode_as_its_integer(mode, want):
+    # the label read "phase-modeTrue" and "phase-mode1.0"
+    op = fock.phase_op(0.1, mode, 8)
+    assert op.label == f"phase-mode{want}"
+    assert op.matrix.tobytes() == fock.phase_op(0.1, want, 8).matrix.tobytes()
 
 
 @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
@@ -798,6 +816,69 @@ def test_cutoff_validation():
         fock.FockCutoff(largest + 1)
     assert fock.FockCutoff(4).dim == 5
     assert fock.FockCutoff(4).dim2 == 25
+
+
+# every strength (t, z, w) and every angle (theta) argument, the others valid
+STRENGTH_ARGUMENTS = {
+    "beamsplitter": lambda t: fock.beamsplitter(t, 4),
+    "BeamsplitterParam": fock.BeamsplitterParam,
+    "displacement": lambda z: fock.displacement(z, 4),
+    "squeeze": lambda w: fock.squeeze(w, 4),
+    "coherent_state": lambda z: fock.coherent_state(z, 4),
+    "coherent_truncation_weight": lambda z: fock.coherent_truncation_weight(z, 4),
+    "clone-numeric": lambda t: fock.imperfect_clone_numeric([1, 0], t, 4),
+    "clone-closed-form": lambda t: fock.imperfect_clone_closed_form([1, 0], t, 4),
+}
+ANGLE_ARGUMENTS = {
+    "exchange_protocol": lambda theta: fock.exchange_protocol(theta, 4),
+    "phase_op": lambda theta: fock.phase_op(theta, 1, 4),
+}
+NOT_NUMBERS = {"None": None, "list": [0.3], "bytes": b"1", "str": "0.3", "0-d-array": np.array(0.3)}
+NOT_REALS = {**NOT_NUMBERS, "complex": 0.3j}
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
+@pytest.mark.parametrize("build", STRENGTH_ARGUMENTS.values(), ids=STRENGTH_ARGUMENTS.keys())
+def test_strengths_that_are_not_numbers_are_rejected(build, bad):
+    # None, [0.3] and b"1" raised TypeError from complex(); "0.3" was parsed by complex(),
+    # except in squeeze, whose abs(w) came first
+    with pytest.raises(ValueError, match=" must be a complex number, got ") as caught:
+        build(bad)
+    assert "\n" not in str(caught.value)
+
+
+@pytest.mark.parametrize("bad", NOT_REALS.values(), ids=NOT_REALS.keys())
+@pytest.mark.parametrize("build", ANGLE_ARGUMENTS.values(), ids=ANGLE_ARGUMENTS.keys())
+def test_angles_that_are_not_real_numbers_are_rejected(build, bad):
+    with pytest.raises(ValueError, match="^theta must be a real number, got ") as caught:
+        build(bad)
+    assert "\n" not in str(caught.value)
+
+
+@pytest.mark.parametrize("build", [*STRENGTH_ARGUMENTS.values(), *ANGLE_ARGUMENTS.values()],
+                         ids=[*STRENGTH_ARGUMENTS, *ANGLE_ARGUMENTS])
+def test_scalars_beyond_float_range_are_rejected(build):
+    # complex() and float() raised OverflowError
+    for big in (10**400, 10**5000):  # the repr of 10**5000 is beyond Python's digit limit
+        with pytest.raises(ValueError, match="must be a (complex|real) number within float range$"):
+            build(big)
+
+
+HALVES = [np.float64(0.5), np.float32(0.5), fractions.Fraction(1, 2)]
+
+
+@pytest.mark.filterwarnings("ignore::quswap.fock.TruncationWarning")
+@pytest.mark.parametrize("build,halves", [
+    *[(build, [*HALVES, 0.5 + 0j, np.complex128(0.5)]) for build in STRENGTH_ARGUMENTS.values()],
+    *[(build, HALVES) for build in ANGLE_ARGUMENTS.values()],
+], ids=[*STRENGTH_ARGUMENTS, *ANGLE_ARGUMENTS])
+def test_numbers_of_every_numeric_type_give_the_bytes_of_their_value(build, halves):
+    def result(x) -> bytes:
+        r = build(x)
+        return np.asarray(r.matrix if hasattr(r, "matrix") else getattr(r, "t", r)).tobytes()
+
+    assert [result(x) for x in halves] == [result(0.5)] * len(halves)
+    assert result(np.int64(2)) == result(2)
 
 
 def test_beamsplitter_param():

@@ -283,13 +283,12 @@ def test_swap_decomposition_fails_when_a_factor_gate_is_wrong(builder, old, new,
 
 
 def test_clone_check_fails_when_the_beamsplitter_blocks_are_wrong(monkeypatch):
-    # conjugating t flips theta in the block phases P; the clone reads the same
-    # blocks as the beamsplitter, so the oracle check must see it
+    # conjugating t flips theta in the block phases P; the clone phases its column with
+    # the same phase step as the beamsplitter's blocks, so the oracle check must see it
     t = 0.7 * np.exp(0.4j)
     right = fock.beamsplitter(t, 4).matrix
-    rotations = fock._rotations
-    monkeypatch.setattr(fock, "_rotations", lambda chain, ns, c, modulus, phase:
-                        rotations(chain, ns, c, modulus, -phase))
+    phases = fock._phases
+    monkeypatch.setattr(fock, "_phases", lambda steps, phase, c: phases(steps, -phase, c))
     assert not np.allclose(fock.beamsplitter(t, 4).matrix, right)
     assert verify.check_clone_oracle_equivalence(8).passed is False
 
@@ -310,7 +309,8 @@ FOCK_FAULTS = [
     _fault("block-modulus-negated", "np.exp(-1j * modulus * np.concatenate(",
            "np.exp(1j * modulus * np.concatenate(",
            ["clone-coherent-marginal", "clone-oracle-equivalence", "exchange-convergence"]),
-    _fault("block-phase-negated", "(phase + math.pi / 2)", "(-phase + math.pi / 2)",
+    _fault("block-phase-negated", "_mode_phases(phase + math.pi / 2, c)",
+           "_mode_phases(-phase + math.pi / 2, c)",
            ["clone-oracle-equivalence"]),
     _fault("clone-v2-without-pi", "_mode_phases(phase + math.pi, c)",
            "_mode_phases(phase, c)", ["clone-coherent-marginal", "clone-oracle-equivalence"]),
