@@ -7,7 +7,7 @@ are pure, so results are safe to share across threads. ``gates.QuditGate`` and
 
 from __future__ import annotations
 
-import math
+import cmath
 import numbers
 import operator
 import sys
@@ -50,8 +50,7 @@ class QuditDim:
     d: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "d", _size(self.d, "qudit dimension", 2, "the two-qudit "
-                                            "dimension d^2"))
+        object.__setattr__(self, "d", _size(self.d, *_QUDIT_SIZE))
 
     @property
     def zeta(self) -> complex:
@@ -89,7 +88,7 @@ class _Operator:
         state = np.asarray(state, dtype=complex)
         if state.shape[:1] != (self.dim,):
             raise ValueError(f"state of shape {state.shape} does not fit dimension {self.dim}")
-        out = np.empty_like(state)
+        out = np.zeros_like(state)
         for rows, cols, values in self._groups:
             if values.ndim == 2:
                 out[rows] = values @ state[cols]
@@ -101,6 +100,14 @@ class _Operator:
 def _pair(z: complex) -> list[float]:
     """``[re, im]`` of a complex number, as the JSON payloads write it."""
     return [float(z.real), float(z.imag)]
+
+
+def _shown(x) -> str:
+    """``repr(x)``, or, for a number whose digits pass Python's int-to-str limit, its type."""
+    try:
+        return repr(x)
+    except ValueError:
+        return f"<{type(x).__name__} too long to print>"
 
 
 def _integer(x, what: str) -> int:
@@ -118,19 +125,22 @@ def _integer(x, what: str) -> int:
         else:
             if n == x:
                 return n
-    raise ValueError(f"{what} must be an integer, got {x!r}")
+    raise ValueError(f"{what} must be an integer, got {_shown(x)}")
 
 
 def _number(x, what: str, real: bool = False):
-    """``x`` as a complex strength, or with ``real`` a float angle, not yet checked for
-    finiteness; "0.3", b"1", None, [0.3], an int beyond float range and 0.3j as an angle raise
-    ValueError."""
+    """``x`` as a finite complex strength, or with ``real`` a finite float angle, the one rule
+    for every strength and angle; "0.3", b"1", None, [0.3], an int beyond float range, inf,
+    nan and 0.3j as an angle raise ValueError."""
     kind = "a real number" if real else "a complex number"
     if isinstance(x, numbers.Real if real else numbers.Complex):
         try:
-            return float(x) if real else complex(x)
+            value = float(x) if real else complex(x)
         except OverflowError:  # an int's repr may exceed Python's digit limit, so it is not named
             raise ValueError(f"{what} must be {kind} within float range") from None
+        if cmath.isfinite(value):
+            return value
+        raise ValueError(f"{what} must be finite, got {value!r}")
     raise ValueError(f"{what} must be {kind}, got {x!r}")
 
 
@@ -144,24 +154,20 @@ def _size(x, what: str, least: int, square: str = "", extra: int = 0) -> int:
     """
     n = _integer(x, what)
     if n < least:
-        raise ValueError(f"{what} must be >= {least}, got {n}")
+        raise ValueError(f"{what} must be >= {least}, got {_shown(n)}")
     if (n + extra) ** (2 if square else 1) > sys.maxsize:
-        raise ValueError(f"{what} {x!r} is too large: "
+        raise ValueError(f"{what} {_shown(x)} is too large: "
                          f"{square or 'an axis of that length'} exceeds numpy's index range")
     return n
 
 
-# the largest qudit dimension that ``_size`` accepts
-_MAX_LEVELS = math.isqrt(sys.maxsize)
+# the ``_size`` arguments of a qudit's level count, read by ``QuditDim`` and ``_levels``
+_QUDIT_SIZE = ("qudit dimension", 2, "the two-qudit dimension d^2")
 
 
 def _levels(d) -> int:
-    """Accept either an integral level count or a QuditDim and return the level count;
-    an ``int`` in 2.._MAX_LEVELS is returned at once, anything else is validated by
-    ``QuditDim``."""
-    if type(d) is int and 2 <= d <= _MAX_LEVELS:
-        return d
-    return (d if isinstance(d, QuditDim) else QuditDim(d)).d
+    """The level count of a QuditDim, or of an integral ``d`` read as ``QuditDim`` reads it."""
+    return d.d if isinstance(d, QuditDim) else _size(d, *_QUDIT_SIZE)
 
 
 def _as_square(a) -> np.ndarray:
@@ -176,7 +182,7 @@ def mod_add(a: int, b: int, d) -> int:
     n = _levels(d)
     a, b = _integer(a, "index"), _integer(b, "index")
     if not (0 <= a < n and 0 <= b < n):
-        raise ValueError(f"indices ({a}, {b}) out of range for d={n}")
+        raise ValueError(f"indices ({_shown(a)}, {_shown(b)}) out of range for d={n}")
     return (a + b) % n
 
 
@@ -187,7 +193,7 @@ def basis_state(j: int, dim: int) -> np.ndarray:
     """
     j, dim = _integer(j, "basis index"), _size(dim, "dimension", 1)
     if not (0 <= j < dim):
-        raise ValueError(f"basis index {j} out of range for dim={dim}")
+        raise ValueError(f"basis index {_shown(j)} out of range for dim={dim}")
     state = np.zeros(dim, dtype=complex)
     state[j] = 1.0
     return state
@@ -237,8 +243,7 @@ def adjoint(a) -> np.ndarray:
 
 def commutator(a, b) -> np.ndarray:
     """[a, b] = a @ b - b @ a."""
-    a, b = _as_square(a), _as_square(b)
-    return a @ b - b @ a
+    return matmul(a, b) - matmul(b, a)
 
 
 def max_abs(a) -> float:

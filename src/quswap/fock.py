@@ -115,10 +115,7 @@ class BeamsplitterParam:
     t: complex
 
     def __post_init__(self) -> None:
-        t = _number(self.t, "beamsplitter parameter")
-        if not (math.isfinite(t.real) and math.isfinite(t.imag)):
-            raise ValueError("beamsplitter parameter must be finite")
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", _number(self.t, "beamsplitter parameter"))
 
     @property
     def modulus(self) -> float:
@@ -169,12 +166,10 @@ def coherent_truncation_weight(z: complex, cutoff) -> float:
     Computed as a Poisson tail, the regularized lower incomplete gamma
     function P(n_max + 1, |z|^2), so that tiny weights are not lost to
     cancellation; ``_igam`` ports the cephes ``igam`` for it, bit for bit.
-    Raises ValueError when z is not finite or |z|^2 overflows a float.
+    Raises ValueError when z is not finite (``core._number``) or |z|^2 overflows a float.
     """
     c = _cutoff(cutoff)
     z = _number(z, "coherent parameter")
-    if not cmath.isfinite(z):
-        raise ValueError(f"coherent parameter must be finite, got {z}")
     try:
         mean = abs(z) ** 2
     except OverflowError:
@@ -192,7 +187,7 @@ def coherent_state(z: complex, cutoff) -> np.ndarray:
     """
     c = _cutoff(cutoff)
     z = _number(z, "coherent parameter")
-    weight = coherent_truncation_weight(z, c)  # rejects a non-finite z or an overflowing |z|^2
+    weight = coherent_truncation_weight(z, c)  # rejects an overflowing |z|^2
     if abs(z) ** 2 > c.n_max / 4 or weight > 1e-8:
         warnings.warn(
             f"coherent state z={z} at n_max={c.n_max} loses weight "
@@ -416,7 +411,7 @@ def phase_op(theta: float, mode: int, cutoff) -> ModeOperator:
     c = _cutoff(cutoff)
     theta = _number(theta, "theta", real=True)
     if not math.isfinite(theta * c.n_max):  # theta n_max is the largest phase
-        raise ValueError(f"theta must be finite, as must theta * n_max; got {theta!r}")
+        raise ValueError(f"theta * n_max must be finite, got theta {theta!r}")
     mode = _integer(mode, "mode")
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
@@ -434,9 +429,9 @@ def exchange_protocol(theta: float, cutoff) -> ModeOperator:
     the leftover phases, giving |z2> (x) |z1> for every coherent pair -
     and hence, by linearity, swapping arbitrary two-mode states. E does not
     depend on the states being swapped; theta only selects which
-    beamsplitter realizes it. theta is taken modulo 2 pi first (``math.fmod``
-    is exact), so that the phases theta * n of V1 and V2 keep the precision
-    that cancels the beamsplitter's however large theta is.
+    beamsplitter realizes it. theta, finite by ``core._number``, is taken modulo
+    2 pi first (``math.fmod`` is exact), so that the phases theta * n of V1 and
+    V2 keep the precision that cancels the beamsplitter's however large theta is.
 
     At finite cutoff the swap is exact on blocks of total photon number
     <= n_max; inputs with weight above that leak infidelity of the order of
@@ -448,10 +443,7 @@ def exchange_protocol(theta: float, cutoff) -> ModeOperator:
     V2(theta + pi), the outer product of the two one-mode phase vectors.
     """
     c = _cutoff(cutoff)
-    theta = _number(theta, "theta", real=True)
-    if not math.isfinite(theta):  # before fmod, which raises a bare "math domain error"
-        raise ValueError(f"theta must be finite, got {theta!r}")
-    theta = math.fmod(theta, math.tau)
+    theta = math.fmod(_number(theta, "theta", real=True), math.tau)
     t = (math.pi / 2) * complex(math.cos(theta), math.sin(theta))
     p = _param(t)
     steps, idx, cores = _exchange_cores(c.n_max, p.modulus)

@@ -145,12 +145,11 @@ def check_swap_conjugation(d: int) -> tuple[dict, float]:
 
 @_check("qudit", "basis-cloning", "deviation", 0.0)
 def check_basis_cloning(d: int) -> tuple[dict, float]:
-    """C_Sigma (|a> (x) |0>) = |a> (x) |a> for every a."""
+    """C_Sigma (|a> (x) |0>) = |a> (x) |a> for every a, on one probe: a + 1 at |a> (x) |0>."""
     a = np.arange(d)
-    inputs, want = np.zeros((2, d * d, d))
-    inputs[a * d, a] = 1  # column a is |a> (x) |0>
-    want[a * d + a, a] = 1  # column a is |a> (x) |a>
-    return {"d": d}, core.max_abs(gates.controlled_shift(d).apply(inputs) - want)
+    probe, want = np.zeros((2, d * d))
+    probe[a * d], want[a * d + a] = a + 1, a + 1
+    return {"d": d}, core.max_abs(gates.controlled_shift(d).apply(probe) - want)
 
 
 @_check("qudit", "permutation-structure", "deviation", 0.0)

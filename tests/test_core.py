@@ -1,3 +1,4 @@
+import fractions
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quswap import core, fock, gates
+from quswap import core, fock, gates, verify
 
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -164,6 +165,18 @@ def test_matmul_rejects_dim_mismatch():
         core.matmul(np.eye(2), np.eye(3))
     with pytest.raises(ValueError, match="expected a square matrix"):
         core.matmul(np.eye(2), np.ones((2, 3)))
+    # numpy's "matmul: Input operand 1 has a mismatch in its core dimension" came through
+    with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+        core.commutator(np.eye(2), np.eye(3))
+
+
+def test_apply_leaves_a_row_that_no_group_writes_zero():
+    # two entries in row 0 and none in row 1, as a faulty index map gives; row 1 read
+    # whatever the memory held
+    op = core._Operator([(np.array([0, 0]), np.array([0, 1]), np.ones(2))], "x")
+    for _ in range(3):
+        np.full(2, np.nan, dtype=complex)  # leaves nan in memory that a new array may reuse
+        assert op.apply(np.ones(2))[1] == 0
 
 
 def test_adjoint_of_identity():
@@ -383,13 +396,37 @@ def test_non_integral_sizes_are_rejected(build, size, bad):
 
 
 @pytest.mark.parametrize("build, size", SIZED, ids=SIZED_IDS)
-@pytest.mark.parametrize("bad", [10**400, 1e308], ids=["10**400", "1e308"])
+@pytest.mark.parametrize("bad", [10**400, 10**5000, 1e308], ids=["10**400", "10**5000", "1e308"])
 def test_sizes_beyond_numpy_index_range_are_rejected(build, size, bad):
     # each is rejected before anything is allocated; 10**400 raised OverflowError from
-    # float(), and a qudit size of 1e308 numpy's "Maximum allowed size exceeded"
+    # float(), a qudit size of 1e308 numpy's "Maximum allowed size exceeded", and 10**5000
+    # Python's "Exceeds the limit (4300 digits) for integer string conversion"
     with pytest.raises(ValueError, match="is too large: .* exceeds numpy's index range") as caught:
         build(bad)
     assert "\n" not in str(caught.value)
+
+
+# the decimal repr of 10**5000 is beyond Python's 4300-digit limit for int-to-str conversion
+TOO_LONG = "<int too long to print>"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: fock.FockCutoff(-10**5000), f"cutoff must be >= 1, got {TOO_LONG}"),
+    (lambda: fock.FockCutoff(fractions.Fraction(10**5000, 3)),
+     "cutoff must be an integer, got <Fraction too long to print>"),
+    (lambda: core.QuditDim(-10**5000), f"qudit dimension must be >= 2, got {TOO_LONG}"),
+    (lambda: gates.sigma1(-10**5000), f"qudit dimension must be >= 2, got {TOO_LONG}"),
+    (lambda: verify.qudit_checks(10**5000), f"d_max {TOO_LONG} is too large: the two-qudit "
+     "dimension d_max^2 exceeds numpy's index range"),
+    (lambda: core.basis_state(10**5000, 4), f"basis index {TOO_LONG} out of range for dim=4"),
+    (lambda: core.mod_add(10**5000, 0, 3), f"indices ({TOO_LONG}, 0) out of range for d=3"),
+], ids=["FockCutoff-negative", "FockCutoff-Fraction", "QuditDim", "sigma1", "qudit_checks",
+        "basis_state", "mod_add"])
+def test_values_too_long_to_print_are_named_by_their_type(build, message):
+    # each raised Python's "Exceeds the limit (4300 digits) for integer string conversion"
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("build, size", SIZED, ids=SIZED_IDS)

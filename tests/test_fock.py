@@ -1,6 +1,7 @@
 import cmath
 import fractions
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -244,7 +245,8 @@ def test_squeeze_matches_dense_exponential(w):
 def test_spectral_builders_reject_non_finite_parameters(build, z):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", fock.TruncationWarning)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="^(displacement|squeeze) parameter must be finite, "
+                                             "got "):
             build(z, 8)
 
 
@@ -255,8 +257,8 @@ TOO_LARGE_CUTOFF = "^cutoff 1e\\+308 is too large: the two-mode dimension"
     (lambda: fock.beamsplitter(1e308, 8), "non-finite"),
     (lambda: fock.displacement(1e308, 8), "non-finite"),
     (lambda: fock.squeeze(1e308j, 8), "non-finite"),
-    (lambda: fock.phase_op(1e308, 1, 4), "theta must be finite"),
-    (lambda: fock.phase_op(-1e308, 2, 4), "theta must be finite"),
+    (lambda: fock.phase_op(1e308, 1, 4), "^theta \\* n_max must be finite, got theta 1e\\+308$"),
+    (lambda: fock.phase_op(-1e308, 2, 4), "^theta \\* n_max must be finite, got theta -1e\\+308$"),
     (lambda: fock.beamsplitter(0.3, 1e308), TOO_LARGE_CUTOFF),
     (lambda: fock.exchange_protocol(0.3, 1e308), TOO_LARGE_CUTOFF),
     (lambda: fock.squeeze(0.3, 1e308), TOO_LARGE_CUTOFF),
@@ -862,6 +864,19 @@ def test_scalars_beyond_float_range_are_rejected(build):
     for big in (10**400, 10**5000):  # the repr of 10**5000 is beyond Python's digit limit
         with pytest.raises(ValueError, match="must be a (complex|real) number within float range$"):
             build(big)
+
+
+@pytest.mark.parametrize("build", [*STRENGTH_ARGUMENTS.values(), *ANGLE_ARGUMENTS.values()],
+                         ids=[*STRENGTH_ARGUMENTS, *ANGLE_ARGUMENTS])
+def test_non_finite_scalars_are_rejected_by_one_rule(build):
+    # each builder checked finiteness on its own, with its own message or none; displacement
+    # and squeeze said "exponential of a non-finite generator"
+    angle = build in ANGLE_ARGUMENTS.values()
+    for bad in (math.inf, -math.inf, math.nan, *(() if angle else [complex(0, math.nan)])):
+        value = repr(float(bad) if angle else complex(bad))
+        what = "theta" if angle else "(beamsplitter|displacement|squeeze|coherent) parameter"
+        with pytest.raises(ValueError, match=f"^{what} must be finite, got {re.escape(value)}$"):
+            build(bad)
 
 
 HALVES = [np.float64(0.5), np.float32(0.5), fractions.Fraction(1, 2)]
