@@ -24,8 +24,8 @@ them.
 Each permutation gate is built from an integer index map, all written once in
 ``_index_map``, and kept as that map, one entry per row. The six-gate product
 composes the builders' own maps, so it holds exactly; its four distinct factor
-maps are formed from one set of level arrays (i, k = -i mod d, and the two
-qudits' levels a, b), which a single map also uses.
+maps are formed from one set of level arrays (k = -i mod d at level i, and the
+two qudits' levels a, b), which a single two-qudit map also forms.
 """
 
 from __future__ import annotations
@@ -67,19 +67,18 @@ class QuditGate(_Operator):
 def _index_map(n: int, label: str, levels: tuple | None = None) -> np.ndarray:
     """Index map of gate ``label`` on n-level qudits: basis index i (a*n + b) goes to map[i].
 
-    ``levels`` is the ``(i, k, a, b)`` set below, which the six-gate product hands to its
-    factors so that it is formed once."""
+    ``levels`` is the ``(k, a, b)`` set below, which the six-gate product hands to its
+    factors to form it once; a one-qudit map returns before forming what it does not read."""
     if levels is None:
         i = np.arange(n)
-        k = -i % n
-        a, b = np.divmod(np.arange(n * n), n)  # the two qudits' levels at basis index a*n + b
-    else:
-        i, k, a, b = levels
-    match label:
-        case "sigma1":
+        if label == "sigma1":
             return (i + 1) % n
-        case "k":
+        k = -i % n
+        if label == "k":
             return k
+        levels = k, *np.divmod(np.arange(n * n), n)  # a, b: the qudits' levels at index a*n + b
+    k, a, b = levels
+    match label:
         case "cshift":
             return a * n + (a + b) % n
         case "cshift-rev":
@@ -92,9 +91,7 @@ def _index_map(n: int, label: str, levels: tuple | None = None) -> np.ndarray:
             return a * n + k[b]
         case "swap-composed":
             # C_Sigma (K x 1) C~_Sigma (K x 1) C_Sigma (1 x K), rightmost factor first
-            levels = i, k, a, b
-            cs, k1 = _index_map(n, "cshift", levels), _index_map(n, "k x 1", levels)
-            rev = _index_map(n, "cshift-rev", levels)
+            cs, k1, rev = (_index_map(n, g, levels) for g in ("cshift", "k x 1", "cshift-rev"))
             return cs[k1[rev[k1[cs[_index_map(n, "1 x k", levels)]]]]]
     raise KeyError(label)
 

@@ -208,6 +208,112 @@ def test_number_conservation_check_fails_on_a_block_across_totals(monkeypatch):
     assert report.metric == pytest.approx(1 / np.sqrt(2))
 
 
+PERMUTATION_BUILDERS = ("sigma1", "reverse_gate", "controlled_shift",
+                        "controlled_shift_reversed", "swap_direct", "swap_composed")
+
+
+def _per_gate_permutation_structure(d: int) -> bool:
+    """``permutation-structure`` as a loop over the gates, one sort per map: the reference."""
+    ok = True
+    for gate in (getattr(verify.gates, name)(d) for name in PERMUTATION_BUILDERS):
+        (rows, cols, values), *rest = gate._groups
+        every = np.arange(gate.dim)  # rows and cols must each be a permutation of it
+        ok = ok and not rest and values.ndim == 1 and bool(np.all(values == 1)) and all(
+            np.array_equal(np.sort(ix), every) for ix in (rows, cols))
+    return ok
+
+
+def _repeated(ix: np.ndarray) -> np.ndarray:
+    out = ix.copy()
+    out[1] = out[0]
+    return out
+
+
+def _dense(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+    block = np.zeros((len(rows), len(rows)), dtype=complex)
+    block[rows, cols] = values
+    return block
+
+
+def _phased(values: np.ndarray) -> np.ndarray:
+    out = values.copy()
+    out[-1] = 1j  # unit modulus, so the gate stays unitary
+    return out
+
+
+# each defect turns one gate's (rows, cols, values) store into a wrong store
+STORE_DEFECTS = {
+    "second-group": lambda r, c, v: [(r[:1], c[:1], v[:1]), (r[1:], c[1:], v[1:])],
+    "2d-block": lambda r, c, v: [(c, c, _dense(r, c, v))],  # the same gate, as one block
+    "repeated-row": lambda r, c, v: [(_repeated(r), c, v)],
+    "repeated-col": lambda r, c, v: [(r, _repeated(c), v)],
+    "value-not-one": lambda r, c, v: [(r, c, _phased(v))],
+    "one-entry-short": lambda r, c, v: [(r[1:], c[1:], v[1:])],
+}
+
+
+def _with_store(monkeypatch, name: str, defect) -> None:
+    """Make ``verify.gates.<name>`` return its gate kept as ``defect`` of its store."""
+    build = getattr(gates, name)
+
+    def wrong(d):
+        gate = build(d)
+        (store,) = gate._groups
+        return gates.QuditGate._from_groups(defect(*store), gate.label, d=gate.d)
+
+    monkeypatch.setattr(verify.gates, name, wrong)
+
+
+@pytest.mark.parametrize("name", PERMUTATION_BUILDERS)
+@pytest.mark.parametrize("defect", STORE_DEFECTS)
+def test_stacked_permutation_check_fails_where_the_per_gate_loop_fails(defect, name, monkeypatch):
+    _with_store(monkeypatch, name, STORE_DEFECTS[defect])
+    for d in (2, 3, 8):
+        assert _per_gate_permutation_structure(d) is False
+        assert verify.check_permutation_structure(d).passed is False
+
+
+def test_stacked_permutation_check_fails_on_a_short_store_that_permutes_its_own_length(
+        monkeypatch):
+    # the swap sends its last index to itself, so dropping it leaves a permutation of
+    # d^2 - 1 indices: the per-gate loop took that length as the gate's and passed it
+    _with_store(monkeypatch, "swap_direct", lambda r, c, v: [(r[:-1], c[:-1], v[:-1])])
+    assert _per_gate_permutation_structure(5) is True
+    assert verify.check_permutation_structure(5).passed is False
+
+
+def test_stacked_and_per_gate_permutation_checks_pass_at_every_d():
+    for d in range(2, 65):
+        assert _per_gate_permutation_structure(d) is True
+        report = verify.check_permutation_structure(d)
+        assert report.passed and report.metric == 0.0
+
+
+def test_only_the_fock_checks_silence_truncation_warnings(monkeypatch):
+    fock_checks = [check for (suite, _), check in verify._CHECKS.items() if suite == "fock"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", fock.TruncationWarning)
+        for n_max in (1, 2, 8):  # coherent probes at these cutoffs lose weight and warn
+            verify.fock_checks(n_max)
+            for check in fock_checks:
+                check(n_max)
+    filters = warnings.filters
+    before = list(filters)
+    verify.qudit_checks(8)
+    assert warnings.filters is filters and warnings.filters == before
+
+    # a qudit check hands a warning from the library on to its caller
+    sigma1 = gates.sigma1
+
+    def warning_sigma1(d):
+        warnings.warn("probe", fock.TruncationWarning)
+        return sigma1(d)
+
+    monkeypatch.setattr(verify.gates, "sigma1", warning_sigma1)
+    with pytest.warns(fock.TruncationWarning, match="probe"):
+        verify.check_weyl_commutation(3)
+
+
 def _clone_metrics_one_state_at_a_time(n_max: int) -> tuple[float, float]:
     """The metrics of the two clone checks, with one clone call per state and strength."""
     def states(seed: int, count: int, support: int):
@@ -322,6 +428,11 @@ FOCK_FAULTS = [
            "amp[n - 1] * z.conjugate() / math.sqrt(n)", [], marks=NO_CHECK_YET),
     # test_exchange_clone.py::test_mode2_marginal_of_complex_states catches this one
     _fault("mode2-marginal-transposed", "v.T @ v.conj()", "v.T.conj() @ v", [], marks=NO_CHECK_YET),
+    # amp[1] is never written, so every coherent state is the vacuum
+    _fault("coherent-state-vacuum", "for n in range(1, c.dim):", "for n in range(2, c.dim):", [],
+           marks=NO_CHECK_YET),
+    _fault("closed-form-modes-swapped", "cos_t**n * sin_t**m", "sin_t**n * cos_t**m",
+           ["clone-oracle-equivalence"]),
 ]
 
 
