@@ -100,6 +100,21 @@ for (suite, name), check in verify._CHECKS.items():
     assert all(line.endswith(" True") for line in lines)
 
 
+def test_qudit_checks_run_when_called_directly():
+    # a check called on its own record, without the suite runner, finds every module it uses
+    out = run_fresh("""
+import quswap.verify as verify
+for d in (2, 3, 8):
+    record = verify._Qudit.build(d)
+    for (suite, name), check in verify._CHECKS.items():
+        if suite == "qudit":
+            print(name, d, check(record).passed)
+""")
+    lines = out.splitlines()
+    assert len(lines) == 21
+    assert all(line.endswith(" True") for line in lines)
+
+
 def test_fock_names_resolve_through_the_package():
     assert quswap.fock is fock
     assert quswap.TruncationWarning is fock.TruncationWarning is quswap.core.TruncationWarning

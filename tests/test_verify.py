@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import types
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -32,6 +33,14 @@ def test_pass_flag_matches_metric(small_suite):
 def test_reports_are_sorted(small_suite):
     keys = [(r.check, json.dumps(r.to_dict()["params"])) for r in small_suite]
     assert keys == sorted(keys)
+
+
+def test_report_serialization_matches_asdict(small_suite):
+    # to_dict builds its keys directly; asdict, with the params sorted, is the reference.
+    # json.dumps keeps key order, which dict equality ignores
+    for r in small_suite:
+        want = {**asdict(r), "params": dict(sorted(r.params.items()))}
+        assert r.to_dict() == want and json.dumps(r.to_dict()) == json.dumps(want)
 
 
 def test_report_serialization_field_order(small_suite):
@@ -73,6 +82,19 @@ def test_suite_selection():
     assert all("d" not in r.params for r in fock_only)
     with pytest.raises(ValueError):
         verify.run_suite("nope")
+
+
+@pytest.mark.parametrize("suite", ["qudit", "fock", "all"])
+@pytest.mark.parametrize("sizes", [
+    {"d_max": "junk"}, {"d_max": 1}, {"d_max": 2.5}, {"d_max": 10**400},
+    {"n_max": "junk"}, {"n_max": 0}, {"n_max": 2.5}, {"n_max": 10**400},
+], ids=["d-junk", "d-1", "d-2.5", "d-10**400", "n-junk", "n-0", "n-2.5", "n-10**400"])
+def test_run_suite_reads_both_sizes_before_any_check(suite, sizes, monkeypatch):
+    # a size the suite does not use is still a caller's error, raised before any check runs
+    monkeypatch.setattr(verify, "_suite", lambda *args: pytest.fail("a check ran"))
+    with pytest.raises(ValueError, match="d_max|cutoff") as caught:
+        verify.run_suite(suite, **{"d_max": 3, "n_max": 4, **sizes})
+    assert "\n" not in str(caught.value)
 
 
 @pytest.mark.parametrize("run", [
@@ -117,7 +139,7 @@ def test_exchange_convergence_ladder_respects_cutoff():
 
 def test_exact_checks_ignore_env_tolerance(monkeypatch):
     monkeypatch.setenv("QUSWAP_TOL", "1.0")
-    report = verify.check_swap_decomposition(4)
+    report = verify.check_swap_decomposition(verify._Qudit.build(4))
     assert report.tolerance == 0.0
     assert report.passed
 
@@ -185,12 +207,28 @@ def test_qudit_checks_at_d64_never_build_a_two_qudit_matrix():
     # one dense 4096-square gate alone would take 268 MB
     tracemalloc.start()
     try:
-        reports = verify._suite("qudit", 64)
+        reports = verify._suite("qudit", verify._Qudit.build(64))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert [r.check for r in reports if not r.passed] == []
     assert peak < 50 * 2**20
+
+
+QUDIT_GATES = ("sigma1", "sigma3", "reverse_gate", "controlled_shift",
+               "controlled_shift_reversed", "swap_direct", "swap_composed")
+
+
+def test_qudit_checks_build_each_gate_once_per_d(monkeypatch):
+    # seven checks read the seven gates of a d; rebuilding them per check took 15 builds per d
+    calls = dict.fromkeys(QUDIT_GATES, 0)
+    for name in QUDIT_GATES:
+        def counted(d, name=name, build=getattr(gates, name)):
+            calls[name] += 1
+            return build(d)
+        monkeypatch.setattr(verify.gates, name, counted)
+    assert all(r.passed for r in verify.qudit_checks(8))
+    assert calls == dict.fromkeys(QUDIT_GATES, 7)  # once for each d in 2..8
 
 
 def test_number_conservation_check_fails_on_a_block_across_totals(monkeypatch):
@@ -270,7 +308,7 @@ def test_stacked_permutation_check_fails_where_the_per_gate_loop_fails(defect, n
     _with_store(monkeypatch, name, STORE_DEFECTS[defect])
     for d in (2, 3, 8):
         assert _per_gate_permutation_structure(d) is False
-        assert verify.check_permutation_structure(d).passed is False
+        assert verify.check_permutation_structure(verify._Qudit.build(d)).passed is False
 
 
 def test_stacked_permutation_check_fails_on_a_short_store_that_permutes_its_own_length(
@@ -279,13 +317,13 @@ def test_stacked_permutation_check_fails_on_a_short_store_that_permutes_its_own_
     # d^2 - 1 indices: the per-gate loop took that length as the gate's and passed it
     _with_store(monkeypatch, "swap_direct", lambda r, c, v: [(r[:-1], c[:-1], v[:-1])])
     assert _per_gate_permutation_structure(5) is True
-    assert verify.check_permutation_structure(5).passed is False
+    assert verify.check_permutation_structure(verify._Qudit.build(5)).passed is False
 
 
 def test_stacked_and_per_gate_permutation_checks_pass_at_every_d():
     for d in range(2, 65):
         assert _per_gate_permutation_structure(d) is True
-        report = verify.check_permutation_structure(d)
+        report = verify.check_permutation_structure(verify._Qudit.build(d))
         assert report.passed and report.metric == 0.0
 
 
@@ -302,7 +340,7 @@ def test_only_the_fock_checks_silence_truncation_warnings(monkeypatch):
     verify.qudit_checks(8)
     assert warnings.filters is filters and warnings.filters == before
 
-    # a qudit check hands a warning from the library on to its caller
+    # the qudit suite hands a warning from the library, here from a gate build, on to its caller
     sigma1 = gates.sigma1
 
     def warning_sigma1(d):
@@ -311,7 +349,7 @@ def test_only_the_fock_checks_silence_truncation_warnings(monkeypatch):
 
     monkeypatch.setattr(verify.gates, "sigma1", warning_sigma1)
     with pytest.warns(fock.TruncationWarning, match="probe"):
-        verify.check_weyl_commutation(3)
+        verify.qudit_checks(3)
 
 
 def _clone_metrics_one_state_at_a_time(n_max: int) -> tuple[float, float]:
@@ -385,7 +423,7 @@ def test_swap_decomposition_fails_when_a_factor_gate_is_wrong(builder, old, new,
     wrong = _module_with(gates, old, new)
     assert not np.array_equal(getattr(wrong, builder)(5).matrix, getattr(gates, builder)(5).matrix)
     monkeypatch.setattr(verify, "gates", wrong)
-    assert verify.check_swap_decomposition(5).passed is False
+    assert verify.check_swap_decomposition(verify._Qudit.build(5)).passed is False
 
 
 def test_clone_check_fails_when_the_beamsplitter_blocks_are_wrong(monkeypatch):
