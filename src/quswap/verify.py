@@ -109,7 +109,10 @@ def _columns(stack: np.ndarray) -> Iterator[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 class _Qudit(NamedTuple):
-    """The seven gates of one d that the qudit checks read, built once per d."""
+    """The seven gates of one d that the qudit checks read, built once per d.
+
+    Each qudit check takes the record as its ``d`` argument, as a gate builder takes a
+    ``QuditDim``, so perfbench's tracer still labels a check's span with the record's d."""
 
     d: int
     sigma1: gates.QuditGate
@@ -127,38 +130,39 @@ class _Qudit(NamedTuple):
 
 
 @_check("qudit", "weyl-commutation", "deviation", 1e-13)
-def check_weyl_commutation(q: _Qudit) -> tuple[dict, float]:
+def check_weyl_commutation(d: _Qudit) -> tuple[dict, float]:
     """Sigma3 Sigma1 = zeta Sigma1 Sigma3."""
-    s1, s3 = q.sigma1.matrix, q.sigma3.matrix
-    zeta = core.QuditDim(q.d).zeta
-    return {"d": q.d}, core.max_abs(s3 @ s1 - zeta * s1 @ s3)
+    s1, s3, d = d.sigma1.matrix, d.sigma3.matrix, d.d
+    zeta = core.QuditDim(d).zeta
+    return {"d": d}, core.max_abs(s3 @ s1 - zeta * s1 @ s3)
 
 
 @_check("qudit", "shift-adjoint-power", "deviation", 0.0)
-def check_shift_adjoint_power(q: _Qudit) -> tuple[dict, float]:
+def check_shift_adjoint_power(d: _Qudit) -> tuple[dict, float]:
     """Sigma1^dag = Sigma1^(d-1), exact on 0/1 entries."""
-    s1 = q.sigma1.matrix
-    return {"d": q.d}, core.max_abs(core.adjoint(s1) - core.matpow(s1, q.d - 1))
+    s1, d = d.sigma1.matrix, d.d
+    return {"d": d}, core.max_abs(core.adjoint(s1) - core.matpow(s1, d - 1))
 
 
 @_check("qudit", "clock-adjoint-power", "deviation", 1e-13)
-def check_clock_adjoint_power(q: _Qudit) -> tuple[dict, float]:
+def check_clock_adjoint_power(d: _Qudit) -> tuple[dict, float]:
     """Sigma3^dag = Sigma3^(d-1) on the root-of-unity diagonal."""
-    s3 = q.sigma3.matrix
-    return {"d": q.d}, core.max_abs(core.adjoint(s3) - core.matpow(s3, q.d - 1))
+    s3, d = d.sigma3.matrix, d.d
+    return {"d": d}, core.max_abs(core.adjoint(s3) - core.matpow(s3, d - 1))
 
 
 @_check("qudit", "swap-decomposition", "deviation", 0.0)
-def check_swap_decomposition(q: _Qudit) -> tuple[dict, float]:
+def check_swap_decomposition(d: _Qudit) -> tuple[dict, float]:
     """The six-gate product equals the direct swap exactly, on a probe of distinct entries."""
-    probe = np.arange(q.d * q.d)
-    return {"d": q.d}, core.max_abs(q.swap_composed.apply(probe) - q.swap_direct.apply(probe))
+    composed, direct, d = d.swap_composed, d.swap_direct, d.d
+    probe = np.arange(d * d)
+    return {"d": d}, core.max_abs(composed.apply(probe) - direct.apply(probe))
 
 
 @_check("qudit", "swap-conjugation", "deviation", 0.0)
-def check_swap_conjugation(q: _Qudit) -> tuple[dict, float]:
+def check_swap_conjugation(d: _Qudit) -> tuple[dict, float]:
     """S (1 x K) S = K x 1: the swap exchanges which qudit a local gate acts on."""
-    d, s, k = q.d, q.swap_direct, q.reverse_gate
+    s, k, d = d.swap_direct, d.reverse_gate, d.d
     probe = np.arange(d * d)
     # axis 0 of a (d, d)-reshaped state is the first qudit: K x 1 acts along it, 1 x K along axis 1
     lhs = s.apply(k.apply(s.apply(probe).reshape(d, d).T).T.ravel())
@@ -167,22 +171,22 @@ def check_swap_conjugation(q: _Qudit) -> tuple[dict, float]:
 
 
 @_check("qudit", "basis-cloning", "deviation", 0.0)
-def check_basis_cloning(q: _Qudit) -> tuple[dict, float]:
+def check_basis_cloning(d: _Qudit) -> tuple[dict, float]:
     """C_Sigma (|a> (x) |0>) = |a> (x) |a> for every a, on one probe: a + 1 at |a> (x) |0>."""
-    d = q.d
+    cshift, d = d.controlled_shift, d.d
     a = np.arange(d)
     probe, want = np.zeros((2, d * d))
     probe[a * d], want[a * d + a] = a + 1, a + 1
-    return {"d": d}, core.max_abs(q.controlled_shift.apply(probe) - want)
+    return {"d": d}, core.max_abs(cshift.apply(probe) - want)
 
 
 @_check("qudit", "permutation-structure", "deviation", 0.0)
-def check_permutation_structure(q: _Qudit) -> tuple[dict, float]:
+def check_permutation_structure(d: _Qudit) -> tuple[dict, float]:
     """Sigma1, K, C_Sigma, C~_Sigma and both swaps are each kept as one index map of exact ones."""
-    d = q.d
     stores = [gate._groups for gate in (
-        q.sigma1, q.reverse_gate, q.controlled_shift,
-        q.controlled_shift_reversed, q.swap_direct, q.swap_composed)]
+        d.sigma1, d.reverse_gate, d.controlled_shift,
+        d.controlled_shift_reversed, d.swap_direct, d.swap_composed)]
+    d = d.d
     ok = all(len(store) == 1 and store[0][2].ndim == 1 and len(store[0][0]) == len(store[0][1]) == n
              for store, n in zip(stores, (d, d) + (d * d,) * 4))
     if ok:  # one sort of the one-qudit gates' rows and cols, one of the two-qudit gates'

@@ -340,7 +340,24 @@ def test_only_the_fock_checks_silence_truncation_warnings(monkeypatch):
     verify.qudit_checks(8)
     assert warnings.filters is filters and warnings.filters == before
 
-    # the qudit suite hands a warning from the library, here from a gate build, on to its caller
+    # each qudit check hands a warning raised inside its body, here on reading a gate, on to
+    # its caller
+    class WarningGate:
+        def __init__(self, gate):
+            self.gate = gate
+
+        def __getattr__(self, name):
+            warnings.warn("read", fock.TruncationWarning)
+            return getattr(self.gate, name)
+
+    q = verify._Qudit.build(3)
+    q = q._replace(**{name: WarningGate(getattr(q, name)) for name in q._fields[1:]})
+    for (suite, _), check in verify._CHECKS.items():
+        if suite == "qudit":
+            with pytest.warns(fock.TruncationWarning, match="read"):
+                assert check(q).passed
+
+    # and the qudit suite hands on a warning from a gate build
     sigma1 = gates.sigma1
 
     def warning_sigma1(d):
