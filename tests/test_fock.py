@@ -1,4 +1,5 @@
 import cmath
+import decimal
 import fractions
 import math
 import re
@@ -133,19 +134,6 @@ def test_coherent_warns_beyond_adequacy():
         fock.coherent_state(2.0, 4)
 
 
-@pytest.mark.parametrize("z", [float("nan"), float("inf"), complex(0.5, float("-inf"))])
-def test_coherent_rejects_non_finite_parameter(z):
-    with pytest.raises(ValueError, match="finite"):
-        fock.coherent_state(z, 4)
-
-
-@pytest.mark.parametrize("z", [math.nan, math.inf, complex(0, math.inf)])
-def test_truncation_weight_rejects_non_finite_parameter(z):
-    # unchecked, nan gave a nan weight and inf a weight of 1.0
-    with pytest.raises(ValueError, match="finite"):
-        fock.coherent_truncation_weight(z, 8)
-
-
 @pytest.mark.parametrize("z", [1e200, 1e200j, complex(1e308, 1e308)])
 def test_coherent_rejects_parameter_whose_square_overflows(z):
     # finite, but |z|^2 is beyond float range
@@ -156,11 +144,7 @@ def test_coherent_rejects_parameter_whose_square_overflows(z):
 
 
 @pytest.mark.parametrize("project", [fock.level_projector, fock.total_number_projector])
-def test_projectors_take_integral_levels_only(project):
-    # a fractional level kept the levels below it, and nan gave the zero projector
-    for level in (2.5, math.nan, "3", None, 3 + 0j):
-        with pytest.raises(ValueError, match="must be an integer"):
-            project(8, level)
+def test_projectors_read_integral_levels(project):
     assert np.array_equal(project(8, 3.0), project(8, 3))
     # a level beyond float range keeps every level; it raised OverflowError
     assert np.array_equal(project(8, 10**400), project(8, 16))
@@ -240,16 +224,6 @@ def test_squeeze_matches_dense_exponential(w):
         assert core.max_abs(fock.squeeze(w, n_max).matrix - dense) <= 5e-14
 
 
-@pytest.mark.parametrize("build", [fock.displacement, fock.squeeze])
-@pytest.mark.parametrize("z", [math.inf, complex(0, math.nan), complex(-math.inf, 1)])
-def test_spectral_builders_reject_non_finite_parameters(build, z):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", fock.TruncationWarning)
-        with pytest.raises(ValueError, match="^(displacement|squeeze) parameter must be finite, "
-                                             "got "):
-            build(z, 8)
-
-
 TOO_LARGE_CUTOFF = "^cutoff 1e\\+308 is too large: the two-mode dimension"
 
 
@@ -326,14 +300,6 @@ def test_squeeze_warns_beyond_adequacy():
         fock.squeeze(1.5, CUT)
 
 
-def test_su11_commutators_on_interior():
-    kp, km, k3 = (g.matrix for g in fock.su11_generators(CUT))
-    interior = fock.level_projector(CUT, N_MAX - 2)
-    assert core.max_abs((core.commutator(k3, kp) - kp) @ interior) <= 1e-12
-    assert core.max_abs((core.commutator(k3, km) + km) @ interior) <= 1e-12
-    assert core.max_abs((core.commutator(kp, km) + 2 * k3) @ interior) <= 1e-12
-
-
 @pytest.mark.parametrize("n_max", [1, 2, 4, 16])
 def test_su11_generators_match_ladder_products(n_max):
     # the dense oracle of test_squeeze_matches_dense_exponential, pinned to the products of
@@ -355,14 +321,6 @@ def test_su11_k3_vacuum_eigenvalue():
 # ---------------------------------------------------------------------------
 # two modes: Schwinger su(2) and the beamsplitter
 # ---------------------------------------------------------------------------
-
-def test_schwinger_su2_commutators_on_bounded_totals():
-    jp, jm, j3 = (g.matrix for g in fock.schwinger_su2(CUT))
-    bounded = fock.total_number_projector(CUT, N_MAX)
-    assert core.max_abs((core.commutator(j3, jp) - jp) @ bounded) <= 1e-12
-    assert core.max_abs((core.commutator(j3, jm) + jm) @ bounded) <= 1e-12
-    assert core.max_abs((core.commutator(jp, jm) - 2 * j3) @ bounded) <= 1e-12
-
 
 def test_schwinger_raising_moves_photon():
     jp, _, _ = fock.schwinger_su2(CUT)
@@ -553,6 +511,70 @@ def test_blockwise_matches_dense_exponential(seed):
 
 def test_blockwise_blocks_are_unitary():
     assert core.is_unitary(fock.beamsplitter_blockwise(rand_t(9), CUT).matrix, 1e-12)
+
+
+EXACT = decimal.Context(prec=80)
+
+
+def _exact_cos_sin(x: float) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """cos x and sin x of a float x >= 0, summed from their Taylor series in 80 digits."""
+    with decimal.localcontext(EXACT):
+        x = decimal.Decimal(x)  # a float converts exactly
+        cos = sin = decimal.Decimal(0)
+        term, k = decimal.Decimal(1), 0  # term = x^k / k!
+        while k <= x or term > decimal.Decimal("1e-90"):
+            if k % 2:
+                sin += (-1) ** (k // 2) * term
+            else:
+                cos += (-1) ** (k // 2) * term
+            k += 1
+            term = term * x / k
+        return cos, sin
+
+
+def _wigner_block(n: int, modulus: float) -> np.ndarray:
+    """Wigner's spin-n/2 rotation in 80 digits, rounded to floats: with c = cos|t|,
+    s = sin|t|, n2 = n - n1 and k2 = n - k1,
+    W_n[k1, n1] = sqrt(k1! k2! / (n1! n2!)) sum_{i+j=k1} C(n1,i) C(n2,j) (-1)^j
+    c^(i+n2-j) s^(n1-i+j), the sum being the coefficient of x^k1 in (s + c x)^n1 (c - s x)^n2.
+    """
+    with decimal.localcontext(EXACT):
+        c, s = _exact_cos_sin(modulus)
+        c_pow, s_pow = [c**e for e in range(n + 1)], [s**e for e in range(n + 1)]
+        w = np.empty((n + 1, n + 1))
+        for n1 in range(n + 1):
+            n2 = n - n1
+            left = [math.comb(n1, i) * c_pow[i] * s_pow[n1 - i] for i in range(n1 + 1)]
+            right = [(-1) ** j * math.comb(n2, j) * c_pow[n2 - j] * s_pow[j]
+                     for j in range(n2 + 1)]
+            for k1 in range(n + 1):
+                terms = range(max(0, k1 - n2), min(n1, k1) + 1)
+                total = sum(left[i] * right[k1 - i] for i in terms)
+                scale = decimal.Decimal(math.factorial(k1) * math.factorial(n - k1)) / (
+                    math.factorial(n1) * math.factorial(n2))
+                w[k1, n1] = float(scale.sqrt() * total)
+    return w
+
+
+# real t; complex t, whose |t| is 0.9 to one ulp; and |t| > pi/2, where cos|t| < 0
+@pytest.mark.parametrize("t", [0.9, 0.9 * cmath.exp(0.7j), 2.4], ids=["real", "complex", "2.4"])
+@pytest.mark.parametrize("n_max,blocks", [
+    (8, range(9)), (32, range(33)), (64, [0, 1, 32, 63, 64]),
+], ids=["n_max8", "n_max32", "n_max64"])
+def test_beamsplitter_blocks_equal_wigner_closed_form(n_max, blocks, t):
+    # an oracle that shares no code with LAPACK: block n <= n_max of beamsplitter(t), indexed
+    # by n1, is P W_n^T P* with P = diag(e^(i theta n1)). At |t| = pi/2 only the term i = 0,
+    # j = n2 is left, W_n[n2, n1] = (-1)^n2: the signed reversal |n1, n2> -> |n2, n1> that
+    # makes the half-wave beamsplitter an exchange
+    u = fock.beamsplitter(t, n_max)
+    for n in blocks:
+        n1 = np.arange(n + 1)
+        idx = n1 * (n_max + 1) + n - n1
+        columns = np.zeros((u.dim, n + 1), dtype=complex)
+        columns[idx, n1] = 1  # read through apply: the dense n_max 64 operator takes 285 MB
+        p = np.exp(1j * cmath.phase(t) * n1)
+        want = p[:, None] * _wigner_block(n, abs(t)).T * p.conj()
+        assert core.max_abs(u.apply(columns)[idx] - want) <= 1e-13, n
 
 
 @pytest.mark.filterwarnings("ignore::quswap.fock.TruncationWarning")
@@ -760,9 +782,6 @@ def test_phase_op_rejects_bad_mode():
     for mode in (3, 0, -1, 2**70):
         with pytest.raises(ValueError, match=f"^mode must be 1 or 2, got {mode}$"):
             fock.phase_op(0.1, mode, CUT)
-    for mode in (1.5, math.nan, "1", None, [1], 1j):
-        with pytest.raises(ValueError, match="^mode must be an integer, got "):
-            fock.phase_op(0.1, mode, CUT)
 
 
 @pytest.mark.parametrize("mode,want", [(True, 1), (1.0, 1), (np.int64(2), 2), (2.0, 2)])
@@ -771,16 +790,6 @@ def test_phase_op_reads_an_integral_mode_as_its_integer(mode, want):
     op = fock.phase_op(0.1, mode, 8)
     assert op.label == f"phase-mode{want}"
     assert op.matrix.tobytes() == fock.phase_op(0.1, want, 8).matrix.tobytes()
-
-
-@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
-@pytest.mark.parametrize("build", [
-    lambda theta: fock.exchange_protocol(theta, CUT),
-    lambda theta: fock.phase_op(theta, 1, CUT),
-], ids=["exchange_protocol", "phase_op"])
-def test_non_finite_theta_is_rejected(build, theta):
-    with pytest.raises(ValueError, match="theta must be finite"):
-        build(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -870,9 +879,12 @@ def test_scalars_beyond_float_range_are_rejected(build):
                          ids=[*STRENGTH_ARGUMENTS, *ANGLE_ARGUMENTS])
 def test_non_finite_scalars_are_rejected_by_one_rule(build):
     # each builder checked finiteness on its own, with its own message or none; displacement
-    # and squeeze said "exponential of a non-finite generator"
+    # and squeeze said "exponential of a non-finite generator", and an unchecked weight read
+    # nan as a nan weight and inf as a weight of 1.0
     angle = build in ANGLE_ARGUMENTS.values()
-    for bad in (math.inf, -math.inf, math.nan, *(() if angle else [complex(0, math.nan)])):
+    for bad in (math.inf, -math.inf, math.nan,
+                *(() if angle else [complex(0, math.nan), complex(0.5, -math.inf),
+                                    complex(0, math.inf), complex(-math.inf, 1)])):
         value = repr(float(bad) if angle else complex(bad))
         what = "theta" if angle else "(beamsplitter|displacement|squeeze|coherent) parameter"
         with pytest.raises(ValueError, match=f"^{what} must be finite, got {re.escape(value)}$"):

@@ -137,13 +137,6 @@ def test_exchange_convergence_ladder_respects_cutoff():
     assert report.passed
 
 
-def test_exact_checks_ignore_env_tolerance(monkeypatch):
-    monkeypatch.setenv("QUSWAP_TOL", "1.0")
-    report = verify.check_swap_decomposition(verify._Qudit.build(4))
-    assert report.tolerance == 0.0
-    assert report.passed
-
-
 # the tolerance each check registers; the paper's identities are exact, so
 # none of these may move
 REGISTERED_TOLERANCES = {
@@ -430,19 +423,6 @@ def _module_with(module: types.ModuleType, old: str, new: str) -> types.ModuleTy
     return wrong
 
 
-@pytest.mark.parametrize("builder,old,new", [
-    ("controlled_shift", "a * n + (a + b) % n", "a * n + (a - b) % n"),
-    ("controlled_shift_reversed", "(a + b) % n * n + b", "(a - b) % n * n + b"),
-], ids=["cshift", "cshift-rev"])
-def test_swap_decomposition_fails_when_a_factor_gate_is_wrong(builder, old, new, monkeypatch):
-    # the factorization is composed from the maps the public builders use, so a
-    # wrong map changes the gate users get and fails the check
-    wrong = _module_with(gates, old, new)
-    assert not np.array_equal(getattr(wrong, builder)(5).matrix, getattr(gates, builder)(5).matrix)
-    monkeypatch.setattr(verify, "gates", wrong)
-    assert verify.check_swap_decomposition(verify._Qudit.build(5)).passed is False
-
-
 def test_clone_check_fails_when_the_beamsplitter_blocks_are_wrong(monkeypatch):
     # conjugating t flips theta in the block phases P; the clone phases its column with
     # the same phase step as the beamsplitter's blocks, so the oracle check must see it
@@ -507,6 +487,8 @@ QUDIT_FAULTS = [
            ["weyl-commutation"]),
     _fault("reverse-is-identity", "k = -i % n", "k = i % n", ["swap-decomposition"]),
     _fault("cshift-subtracts", "a * n + (a + b) % n", "a * n + (a - b) % n",
+           ["swap-decomposition"]),
+    _fault("cshift-rev-subtracts", "(a + b) % n * n + b", "(a - b) % n * n + b",
            ["swap-decomposition"]),
     _fault("swap-composed-without-1xk", '[k1[cs[_index_map(n, "1 x k", levels)]]]', "[k1[cs]]",
            ["swap-decomposition"]),
