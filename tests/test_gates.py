@@ -134,6 +134,13 @@ def test_swap_conjugation_swaps_tensor_factors():
     assert core.max_abs(s @ core.tensor_op(a, b) @ s - core.tensor_op(b, a)) <= 1e-12
 
 
+# criterion 01 reports one verdict for all d under a runtime bound; this
+# names the d that breaks. d = 64 is left to the never-dense verify test.
+@pytest.mark.parametrize("d", range(2, 17))
+def test_swap_composed_equals_direct(d):
+    assert np.array_equal(gates.swap_composed(d).matrix, gates.swap_direct(d).matrix)
+
+
 def dense_six_factor_product(d):
     # oracle: C_Sigma (K x 1) C~_Sigma (K x 1) C_Sigma (1 x K) as dense
     # matrix products of the built gates, rightmost factor first
