@@ -17,9 +17,10 @@ reports. ``gate`` writes its dump from the gate's stored entries, one row at a
 time, and never builds the dense d^2-square matrix (~30 MB for the whole
 process at d = 64); the gate is built before the first write.
 
-Exit codes: 0 success / all checks passed, 1 verification failure,
-2 usage or input errors, including a ValueError raised by the library on
-an invalid input and an ``--out`` path that cannot be written.
+Exit codes: 0 success / all checks passed, 1 verification failure (a check that
+raised included: its report has a null metric), 2 usage or input errors,
+including a ValueError raised by the library on an invalid input and an
+``--out`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -42,15 +43,7 @@ from .core import TruncationWarning, _pair, fidelity, tensor_state
 
 __all__ = ["main"]
 
-GATE_BUILDERS = {
-    "sigma1": gates.sigma1,
-    "sigma3": gates.sigma3,
-    "k": gates.reverse_gate,
-    "cshift": gates.controlled_shift,
-    "cshift-rev": gates.controlled_shift_reversed,
-    "swap": gates.swap_direct,
-    "swap-composed": gates.swap_composed,
-}
+GATE_BUILDERS = gates.GATES  # the same dict, so a patch or wrap of either reaches both
 
 # inclusive bounds of the integer size flags, checked before anything is built
 BOUNDS = {"d": (2, 64), "d_max": (2, 64), "n_max": (1, 64)}

@@ -154,6 +154,12 @@ def swap_composed(d) -> QuditGate:
     return _permutation(d, "swap-composed")
 
 
+# the gates that ``quswap gate --name`` dumps, each keyed by the label its builder gives it
+GATES = {"sigma1": sigma1, "sigma3": sigma3, "k": reverse_gate, "cshift": controlled_shift,
+         "cshift-rev": controlled_shift_reversed,
+         "swap": swap_direct, "swap-composed": swap_composed}
+
+
 def controlled_unitary(u, d=None) -> QuditGate:
     """Controlled-U gate: |a> (x) |b> -> |a> (x) U^a |b> for U in U(d).
 

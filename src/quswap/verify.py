@@ -9,9 +9,11 @@ chains). Checks are registered with ``_check``, which times them and builds thei
 :class:`VerificationReport`; only the Fock suite's checks silence ``TruncationWarning``, as
 they probe small cutoffs on purpose. Deviation metrics pass when metric <= tolerance;
 fidelity metrics pass when metric >= tolerance (the tolerance then being the minimum
-acceptable fidelity). All randomness is seeded, so two runs produce identical reports
-except for the wall-time field. Each check's tolerance is a fixed number, given where the
-check is registered.
+acceptable fidelity). A check whose body raises is a failed report, and the suite runs on:
+its metric is ``None`` (JSON ``null``), its params are the suite's size plus an ``error``
+naming the exception and its first message line, and ``quswap verify`` exits 1. All
+randomness is seeded, so two runs produce identical reports except for the wall-time
+field. Each check's tolerance is a fixed number, given where the check is registered.
 """
 
 from __future__ import annotations
@@ -42,15 +44,13 @@ class VerificationReport:
     check: str
     params: dict
     kind: str  # "deviation" or "fidelity"
-    metric: float
+    metric: float | None  # None when the check raised; params["error"] then says what
     tolerance: float
     passed: bool
     wall_ms: float
 
     def to_dict(self) -> dict:
-        return {"check": self.check, "params": dict(sorted(self.params.items())), "kind": self.kind,
-                "metric": self.metric, "tolerance": self.tolerance, "passed": self.passed,
-                "wall_ms": self.wall_ms}
+        return {**vars(self), "params": dict(sorted(self.params.items()))}
 
 
 # (suite, check name) -> registered check, in definition order. A flat dict of
@@ -63,22 +63,28 @@ def _check(suite: str, name: str, kind: str, tol: float):
     """Register a check of ``suite`` whose body returns ``(params, metric)``.
 
     The registered function times the body, compares its metric with ``tol`` as ``kind``
-    says and returns the :class:`VerificationReport`. Only a ``fock`` body runs with
-    ``TruncationWarning`` ignored, as small cutoffs are probed on purpose."""
+    says and returns the :class:`VerificationReport`, a failed one if the body raises. Only
+    a ``fock`` body runs with ``TruncationWarning`` ignored, as small cutoffs are probed on
+    purpose."""
     def register(body: Callable[..., tuple[dict, float]]) -> Callable[..., VerificationReport]:
         measure = body
         if suite == "fock":
-            def measure(*args, **kwargs) -> tuple[dict, float]:
+            def measure(arg) -> tuple[dict, float]:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", core.TruncationWarning)
-                    return body(*args, **kwargs)
+                    return body(arg)
 
         @functools.wraps(body)
-        def run(*args, **kwargs) -> VerificationReport:
+        def run(arg) -> VerificationReport:
             t0 = time.perf_counter()
-            params, metric = measure(*args, **kwargs)
-            metric = float(metric)
-            passed = metric <= tol if kind == "deviation" else metric >= tol
+            try:
+                params, metric = measure(arg)
+                metric = float(metric)
+                passed = metric <= tol if kind == "deviation" else metric >= tol
+            except Exception as exc:  # the library's fault: the sizes were read before any check
+                params = {"d": arg.d} if suite == "qudit" else {"n_max": arg}
+                params["error"] = type(exc).__name__ + ": " + str(exc).partition("\n")[0]
+                metric, passed = None, False
             return VerificationReport(name, params, kind, metric, tol, passed,
                                       (time.perf_counter() - t0) * 1e3)
         _CHECKS[suite, name] = run

@@ -25,20 +25,6 @@ def record(criterion, ok, detail=""):
     assert ok, f"{criterion} failed {detail}"
 
 
-def random_mode_state(rng, support, dim):
-    v = np.zeros(dim, dtype=complex)
-    v[: support + 1] = rng.standard_normal(support + 1) + 1j * rng.standard_normal(
-        support + 1
-    )
-    return v / np.linalg.norm(v)
-
-
-def dense_beamsplitter(t, n_max):
-    """Oracle: one dense exponential of the whole truncated two-mode generator."""
-    jp, jm, _ = fock.schwinger_su2(n_max)
-    return core.mat_exp(t * jp.matrix - np.conj(t) * jm.matrix)
-
-
 def test_01_swap_decomposition_exact():
     t0 = time.perf_counter()
     exact = all(
@@ -210,7 +196,7 @@ def test_09_coherent_exchange_grid():
     )
 
 
-def test_10_arbitrary_state_exchange():
+def test_10_arbitrary_state_exchange(random_mode_state):
     n_max = 32
     e = fock.exchange_protocol(0.0, n_max).matrix
     rng = np.random.default_rng(20240610)
@@ -227,7 +213,7 @@ def test_10_arbitrary_state_exchange():
     )
 
 
-def test_11_imperfect_clone_oracle_equivalence():
+def test_11_imperfect_clone_oracle_equivalence(random_mode_state):
     n_max = 16
     dim = n_max + 1
     rng = np.random.default_rng(20240611)
@@ -262,7 +248,7 @@ def test_11_imperfect_clone_oracle_equivalence():
     )
 
 
-def test_12_beamsplitter_construction_crosscheck():
+def test_12_beamsplitter_construction_crosscheck(dense_beamsplitter):
     n_max = 16
     worst = 0.0
     for t in (0.9, 1.3 * np.exp(0.8j), (math.pi / 2) * np.exp(-2.1j)):

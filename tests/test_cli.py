@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quswap import cli, gates
+from quswap import cli, fock, gates, verify
 
 
 # a JSON array holding one 400-digit integer, beyond float range
@@ -153,6 +154,14 @@ def test_gate_rejects_unknown_name(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["gate", "--name", "frobnicate", "--d", "2"])
     assert exc.value.code != 0
+
+
+def test_gate_names_are_the_gate_table_keys():
+    assert cli.GATE_BUILDERS is gates.GATES
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    name = next(a for a in sub.choices["gate"]._actions if a.dest == "name")
+    assert name.choices == sorted(gates.GATES) == [
+        "cshift", "cshift-rev", "k", "sigma1", "sigma3", "swap", "swap-composed"]
 
 
 def test_gate_rejects_bad_d(capsys):
@@ -343,6 +352,26 @@ def test_verify_fock_suite_passes(capsys):
     assert payload["all_passed"] is True
     checks = {r["check"] for r in payload["reports"]}
     assert "ladder-commutators" in checks  # boundary-excluded commutators
+
+
+def test_verify_writes_every_report_when_a_check_raises(capsys, monkeypatch, module_with):
+    # exchange blocks that divide by their cores make exchange-convergence raise on the norm
+    # guard of fidelity; that check fails with its error, and the other six still report
+    monkeypatch.setattr(verify, "fock", module_with(
+        fock, "rows[part] * (left[part] * core * right[part])",
+        "rows[part] * (left[part] / core * right[part])"))
+    code, out, err = run_cli(capsys, "verify", "--suite", "fock", "--n-max", "8")
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["all_passed"] is False
+    reports = {r["check"]: r for r in payload["reports"]}
+    assert len(payload["reports"]) == 7
+    assert set(reports) == {name for suite, name in verify._CHECKS if suite == "fock"}
+    assert [name for name, r in reports.items() if not r["passed"]] == ["exchange-convergence"]
+    raised = reports["exchange-convergence"]
+    assert raised["metric"] is None and '"metric": null' in out
+    assert raised["params"]["n_max"] == 8 and list(raised["params"]) == ["error", "n_max"]
+    assert raised["params"]["error"].startswith("ValueError: second state has norm ")
 
 
 def test_verify_rejects_out_of_range_params(capsys):

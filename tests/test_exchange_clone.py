@@ -9,14 +9,6 @@ import pytest
 from quswap import core, fock, gates
 
 
-def random_mode_state(rng, support, dim):
-    v = np.zeros(dim, dtype=complex)
-    v[: support + 1] = rng.standard_normal(support + 1) + 1j * rng.standard_normal(
-        support + 1
-    )
-    return v / np.linalg.norm(v)
-
-
 # ---------------------------------------------------------------------------
 # exchange protocol
 # ---------------------------------------------------------------------------
@@ -70,7 +62,7 @@ def test_exchange_does_not_depend_on_inputs():
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_exchange_swaps_arbitrary_product_states(seed):
+def test_exchange_swaps_arbitrary_product_states(seed, random_mode_state):
     n_max = 32
     rng = np.random.default_rng(7000 + seed)
     x = random_mode_state(rng, n_max // 2, n_max + 1)
@@ -140,7 +132,7 @@ def test_clone_of_vacuum_is_double_vacuum():
         assert core.max_abs(out - core.basis_state(0, (n_max + 1) ** 2)) <= 1e-12
 
 
-def test_clone_with_closed_beamsplitter_is_identity():
+def test_clone_with_closed_beamsplitter_is_identity(random_mode_state):
     n_max = 8
     rng = np.random.default_rng(3)
     x = random_mode_state(rng, 4, n_max + 1)
@@ -188,7 +180,7 @@ def test_clone_splits_coherent_state(t_abs):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_clone_numeric_matches_closed_form(seed):
+def test_clone_numeric_matches_closed_form(seed, random_mode_state):
     n_max = 16
     rng = np.random.default_rng(9000 + seed)
     x = random_mode_state(rng, n_max // 2, n_max + 1)
@@ -198,7 +190,7 @@ def test_clone_numeric_matches_closed_form(seed):
     assert core.fidelity(want, got) >= 1 - 1e-8
 
 
-def test_clone_numeric_matches_closed_form_at_largest_cutoff():
+def test_clone_numeric_matches_closed_form_at_largest_cutoff(random_mode_state):
     n_max = 64
     rng = np.random.default_rng(9100)
     x = random_mode_state(rng, n_max // 2, n_max + 1)
@@ -209,7 +201,7 @@ def test_clone_numeric_matches_closed_form_at_largest_cutoff():
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_clone_closed_form_preserves_norm(seed):
+def test_clone_closed_form_preserves_norm(seed, random_mode_state):
     n_max = 16
     rng = np.random.default_rng(500 + seed)
     x = random_mode_state(rng, n_max, n_max + 1)

@@ -19,12 +19,6 @@ N_MAX = 16
 CUT = fock.FockCutoff(N_MAX)
 
 
-def dense_beamsplitter(t, cutoff):
-    """Oracle: one dense exponential of the whole truncated two-mode generator."""
-    jp, jm, _ = fock.schwinger_su2(cutoff)
-    return core.mat_exp(t * jp.matrix - np.conj(t) * jm.matrix)
-
-
 def rand_t(seed):
     rng = np.random.default_rng(seed)
     return rng.uniform(0.1, math.pi) * np.exp(1j * rng.uniform(-math.pi, math.pi))
@@ -502,7 +496,7 @@ def test_blockwise_single_photon_block_is_rotation():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_blockwise_matches_dense_exponential(seed):
+def test_blockwise_matches_dense_exponential(seed, dense_beamsplitter):
     # every block, those above the cutoff included
     t = rand_t(50 + seed)
     blocks = fock.beamsplitter(t, CUT).matrix
@@ -579,7 +573,7 @@ def test_beamsplitter_blocks_equal_wigner_closed_form(n_max, blocks, t):
 
 @pytest.mark.filterwarnings("ignore::quswap.fock.TruncationWarning")
 @pytest.mark.parametrize("n_max", [2, 8, 16])
-def test_clone_numeric_matches_dense_oracle(n_max):
+def test_clone_numeric_matches_dense_oracle(n_max, dense_beamsplitter):
     # one column per block against the dense exponential applied to x (x) |0>;
     # x fills every level, the top ones included
     rng = np.random.default_rng(700 + n_max)

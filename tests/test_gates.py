@@ -317,3 +317,10 @@ def test_gate_rejects_bad_dim():
         gates.controlled_unitary(np.eye(3), 2)
     with pytest.raises(ValueError):
         gates.controlled_unitary(5)
+
+
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("label", sorted(gates.GATES))
+def test_gate_table_keys_are_their_gates_labels(label, d):
+    # ``quswap gate --name`` dumps the gates of this table, by these keys
+    assert gates.GATES[label](d).label == label

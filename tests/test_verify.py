@@ -1,8 +1,6 @@
-import inspect
 import json
 import math
 import tracemalloc
-import types
 import warnings
 from dataclasses import asdict
 
@@ -37,10 +35,14 @@ def test_reports_are_sorted(small_suite):
 
 def test_report_serialization_matches_asdict(small_suite):
     # to_dict builds its keys directly; asdict, with the params sorted, is the reference.
-    # json.dumps keeps key order, which dict equality ignores
-    for r in small_suite:
+    # json.dumps keeps key order, which dict equality ignores. The hand-built report has
+    # a null metric and unsorted params, as a check that raised gives
+    raised = verify.VerificationReport("c", {"n_max": 8, "error": "E: m", "d": 2}, "deviation",
+                                       None, 0.0, False, 1.0)
+    for r in [*small_suite, raised]:
         want = {**asdict(r), "params": dict(sorted(r.params.items()))}
         assert r.to_dict() == want and json.dumps(r.to_dict()) == json.dumps(want)
+    assert '"params": {"d": 2, "error": "E: m", "n_max": 8}' in json.dumps(raised.to_dict())
 
 
 def test_report_serialization_field_order(small_suite):
@@ -49,6 +51,20 @@ def test_report_serialization_field_order(small_suite):
         "check", "params", "kind", "metric", "tolerance", "passed", "wall_ms",
     ]
     json.dumps(d)  # must be serializable
+
+
+def test_a_check_that_raises_is_a_failed_report_naming_the_error():
+    class Broken:
+        @property
+        def matrix(self):
+            raise RuntimeError("first line\nsecond line")
+
+    record = verify._Qudit.build(3)._replace(sigma1=Broken())
+    report = verify.check_weyl_commutation(record)
+    assert (report.passed, report.metric) == (False, None)
+    assert report.params == {"d": 3, "error": "RuntimeError: first line"}
+    # the checks that do not read the broken gate still pass
+    assert verify.check_swap_decomposition(record).passed
 
 
 def _without_wall_time(reports):
@@ -325,9 +341,10 @@ def test_only_the_fock_checks_silence_truncation_warnings(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", fock.TruncationWarning)
         for n_max in (1, 2, 8):  # coherent probes at these cutoffs lose weight and warn
-            verify.fock_checks(n_max)
+            # a warning that escaped a check would be an error, and so a failed report
+            assert all(r.passed for r in verify.fock_checks(n_max))
             for check in fock_checks:
-                check(n_max)
+                assert check(n_max).passed
     filters = warnings.filters
     before = list(filters)
     verify.qudit_checks(8)
@@ -413,16 +430,6 @@ def test_clone_oracle_check_memory_at_n_max_64():
     assert peak < 4 * 2**20
 
 
-def _module_with(module: types.ModuleType, old: str, new: str) -> types.ModuleType:
-    """A fresh copy of ``module`` with ``old`` replaced by ``new`` in its source."""
-    source = inspect.getsource(module)
-    assert source.count(old) == 1  # the fault lands on exactly one site
-    wrong = types.ModuleType(module.__name__)
-    wrong.__package__ = "quswap"
-    exec(compile(source.replace(old, new), module.__file__, "exec"), wrong.__dict__)
-    return wrong
-
-
 def test_clone_check_fails_when_the_beamsplitter_blocks_are_wrong(monkeypatch):
     # conjugating t flips theta in the block phases P; the clone phases its column with
     # the same phase step as the beamsplitter's blocks, so the oracle check must see it
@@ -468,12 +475,17 @@ FOCK_FAULTS = [
            marks=NO_CHECK_YET),
     _fault("closed-form-modes-swapped", "cos_t**n * sin_t**m", "sin_t**n * cos_t**m",
            ["clone-oracle-equivalence"]),
+    # the two faults below make a check raise, on fidelity's norm guard; its report fails
+    _fault("exchange-blocks-divide-core", "rows[part] * (left[part] * core * right[part])",
+           "rows[part] * (left[part] / core * right[part])", ["exchange-convergence"]),
+    _fault("closed-form-without-sqrt", "math.sqrt(math.comb(total, n))", "math.comb(total, n)",
+           ["clone-closed-form-norm", "clone-oracle-equivalence"]),
 ]
 
 
 @pytest.mark.parametrize("old,new,failing", FOCK_FAULTS)
-def test_fock_checks_catch_a_wrong_fock(old, new, failing, monkeypatch):
-    monkeypatch.setattr(verify, "fock", _module_with(fock, old, new))
+def test_fock_checks_catch_a_wrong_fock(old, new, failing, monkeypatch, module_with):
+    monkeypatch.setattr(verify, "fock", module_with(fock, old, new))
     caught = sorted(r.check for r in verify.fock_checks(16) if not r.passed)
     assert caught, "no fock check fails"
     assert caught == failing
@@ -508,8 +520,8 @@ QUDIT_FAULTS = [
 
 
 @pytest.mark.parametrize("old,new,failing", QUDIT_FAULTS)
-def test_qudit_checks_catch_a_wrong_gates(old, new, failing, monkeypatch):
-    monkeypatch.setattr(verify, "gates", _module_with(gates, old, new))
+def test_qudit_checks_catch_a_wrong_gates(old, new, failing, monkeypatch, module_with):
+    monkeypatch.setattr(verify, "gates", module_with(gates, old, new))
     # one report per d and check, so a failing check is named once
     caught = sorted({r.check for r in verify.qudit_checks(8) if not r.passed})
     assert caught, "no qudit check fails"
