@@ -43,8 +43,6 @@ from .core import TruncationWarning, _pair, fidelity, tensor_state
 
 __all__ = ["main"]
 
-GATE_BUILDERS = gates.GATES  # the same dict, so a patch or wrap of either reaches both
-
 # inclusive bounds of the integer size flags, checked before anything is built
 BOUNDS = {"d": (2, 64), "d_max": (2, 64), "n_max": (1, 64)}
 
@@ -101,7 +99,7 @@ def _matrix_rows(gate: gates.QuditGate, zero: str, sep: str, entry) -> Iterator[
 
 def cmd_gate(args: argparse.Namespace) -> tuple[Iterator[str], int]:
     """The dump as text chunks, one per matrix row; the gate is built before the first chunk."""
-    gate = GATE_BUILDERS[args.name](args.d)
+    gate = gates.GATES[args.name](args.d)
     if args.format == "csv":
         rows = _matrix_rows(gate, "0+0i", ",", lambda z: f"{z.real:.17g}{z.imag:+.17g}i")
         return (row + "\n" for row in rows), 0
@@ -238,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gate = sub.add_parser("gate", help="dump a qudit gate matrix")
-    p_gate.add_argument("--name", required=True, choices=sorted(GATE_BUILDERS))
+    p_gate.add_argument("--name", required=True, choices=sorted(gates.GATES))
     p_gate.add_argument("--d", type=int, required=True, help="levels per qudit (2..64)")
     p_gate.add_argument("--format", choices=("json", "csv"), default="json")
 

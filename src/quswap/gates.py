@@ -154,7 +154,7 @@ def swap_composed(d) -> QuditGate:
     return _permutation(d, "swap-composed")
 
 
-# the gates that ``quswap gate --name`` dumps, each keyed by the label its builder gives it
+# the gates that ``quswap gate`` dumps and the qudit suite checks, keyed by their own labels
 GATES = {"sigma1": sigma1, "sigma3": sigma3, "k": reverse_gate, "cshift": controlled_shift,
          "cshift-rev": controlled_shift_reversed,
          "swap": swap_direct, "swap-composed": swap_composed}

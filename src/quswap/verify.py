@@ -1,19 +1,21 @@
 """Machine-checkable invariants behind the ``verify`` CLI command.
 
 Each check measures a single scalar metric on operators from the library. The qudit suite
-builds each d's seven gates once, into one record that every qudit check of that d reads,
-so a qudit report's wall time is that of its check alone. Each Fock check builds its own
-operators; the library keeps nothing between calls but the strength-independent eigenpairs
-of its tridiagonal generators (the beamsplitter blocks and the displacement and squeeze
-chains). Checks are registered with ``_check``, which times them and builds their
-:class:`VerificationReport`; only the Fock suite's checks silence ``TruncationWarning``, as
-they probe small cutoffs on purpose. Deviation metrics pass when metric <= tolerance;
-fidelity metrics pass when metric >= tolerance (the tolerance then being the minimum
-acceptable fidelity). A check whose body raises is a failed report, and the suite runs on:
-its metric is ``None`` (JSON ``null``), its params are the suite's size plus an ``error``
-naming the exception and its first message line, and ``quswap verify`` exits 1. All
-randomness is seeded, so two runs produce identical reports except for the wall-time
-field. Each check's tolerance is a fixed number, given where the check is registered.
+builds each gate of ``gates.GATES`` once per d, into one record that every qudit check of
+that d reads, so a qudit report's wall time is that of its check alone. Each Fock check
+builds its own operators; the library keeps nothing between calls but the
+strength-independent eigenpairs of its tridiagonal generators (the beamsplitter blocks and
+the displacement and squeeze chains) and the exchange's half-wave block cores
+(``fock._exchange_cores``). Checks are registered with ``_check``, which times them and
+builds their :class:`VerificationReport`; only the Fock suite's checks silence
+``TruncationWarning``, as they probe small cutoffs on purpose. Deviation metrics pass when
+metric <= tolerance; fidelity metrics pass when metric >= tolerance (the tolerance then
+being the minimum acceptable fidelity). A check whose body raises is a failed report, and
+the suite runs on: its metric is ``None`` (JSON ``null``), its params are the suite's size
+plus an ``error`` naming the exception and its first message line, and ``quswap verify``
+exits 1. All randomness is seeded, so two runs produce identical reports except for the
+wall-time field. Each check's tolerance is a fixed number, given where the check is
+registered.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import time
 import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -114,31 +115,24 @@ def _columns(stack: np.ndarray) -> Iterator[np.ndarray]:
 # qudit suite
 # ---------------------------------------------------------------------------
 
-class _Qudit(NamedTuple):
-    """The seven gates of one d that the qudit checks read, built once per d.
+class _Qudit(dict):
+    """The gates of ``gates.GATES`` at one d, keyed by their labels, built once per d.
 
     Each qudit check takes the record as its ``d`` argument, as a gate builder takes a
-    ``QuditDim``, so perfbench's tracer still labels a check's span with the record's d."""
+    ``QuditDim``, so perfbench's tracer still labels a check's span with the record's d.
+    The table is read at call time, so a patched table or module reaches every check."""
 
-    d: int
-    sigma1: gates.QuditGate
-    sigma3: gates.QuditGate
-    reverse_gate: gates.QuditGate
-    controlled_shift: gates.QuditGate
-    controlled_shift_reversed: gates.QuditGate
-    swap_direct: gates.QuditGate
-    swap_composed: gates.QuditGate
+    __slots__ = ("d",)
 
-    @classmethod
-    def build(cls, d: int) -> _Qudit:
-        # the builders are read from ``gates`` at call time, so a patched module reaches every check
-        return cls(d, *(getattr(gates, name)(d) for name in cls._fields[1:]))
+    def __init__(self, d: int) -> None:
+        super().__init__((label, build(d)) for label, build in gates.GATES.items())
+        self.d = d
 
 
 @_check("qudit", "weyl-commutation", "deviation", 1e-13)
 def check_weyl_commutation(d: _Qudit) -> tuple[dict, float]:
     """Sigma3 Sigma1 = zeta Sigma1 Sigma3."""
-    s1, s3, d = d.sigma1.matrix, d.sigma3.matrix, d.d
+    s1, s3, d = d["sigma1"].matrix, d["sigma3"].matrix, d.d
     zeta = core.QuditDim(d).zeta
     return {"d": d}, core.max_abs(s3 @ s1 - zeta * s1 @ s3)
 
@@ -146,21 +140,21 @@ def check_weyl_commutation(d: _Qudit) -> tuple[dict, float]:
 @_check("qudit", "shift-adjoint-power", "deviation", 0.0)
 def check_shift_adjoint_power(d: _Qudit) -> tuple[dict, float]:
     """Sigma1^dag = Sigma1^(d-1), exact on 0/1 entries."""
-    s1, d = d.sigma1.matrix, d.d
+    s1, d = d["sigma1"].matrix, d.d
     return {"d": d}, core.max_abs(core.adjoint(s1) - core.matpow(s1, d - 1))
 
 
 @_check("qudit", "clock-adjoint-power", "deviation", 1e-13)
 def check_clock_adjoint_power(d: _Qudit) -> tuple[dict, float]:
     """Sigma3^dag = Sigma3^(d-1) on the root-of-unity diagonal."""
-    s3, d = d.sigma3.matrix, d.d
+    s3, d = d["sigma3"].matrix, d.d
     return {"d": d}, core.max_abs(core.adjoint(s3) - core.matpow(s3, d - 1))
 
 
 @_check("qudit", "swap-decomposition", "deviation", 0.0)
 def check_swap_decomposition(d: _Qudit) -> tuple[dict, float]:
     """The six-gate product equals the direct swap exactly, on a probe of distinct entries."""
-    composed, direct, d = d.swap_composed, d.swap_direct, d.d
+    composed, direct, d = d["swap-composed"], d["swap"], d.d
     probe = np.arange(d * d)
     return {"d": d}, core.max_abs(composed.apply(probe) - direct.apply(probe))
 
@@ -168,7 +162,7 @@ def check_swap_decomposition(d: _Qudit) -> tuple[dict, float]:
 @_check("qudit", "swap-conjugation", "deviation", 0.0)
 def check_swap_conjugation(d: _Qudit) -> tuple[dict, float]:
     """S (1 x K) S = K x 1: the swap exchanges which qudit a local gate acts on."""
-    s, k, d = d.swap_direct, d.reverse_gate, d.d
+    s, k, d = d["swap"], d["k"], d.d
     probe = np.arange(d * d)
     # axis 0 of a (d, d)-reshaped state is the first qudit: K x 1 acts along it, 1 x K along axis 1
     lhs = s.apply(k.apply(s.apply(probe).reshape(d, d).T).T.ravel())
@@ -179,7 +173,7 @@ def check_swap_conjugation(d: _Qudit) -> tuple[dict, float]:
 @_check("qudit", "basis-cloning", "deviation", 0.0)
 def check_basis_cloning(d: _Qudit) -> tuple[dict, float]:
     """C_Sigma (|a> (x) |0>) = |a> (x) |a> for every a, on one probe: a + 1 at |a> (x) |0>."""
-    cshift, d = d.controlled_shift, d.d
+    cshift, d = d["cshift"], d.d
     a = np.arange(d)
     probe, want = np.zeros((2, d * d))
     probe[a * d], want[a * d + a] = a + 1, a + 1
@@ -189,9 +183,8 @@ def check_basis_cloning(d: _Qudit) -> tuple[dict, float]:
 @_check("qudit", "permutation-structure", "deviation", 0.0)
 def check_permutation_structure(d: _Qudit) -> tuple[dict, float]:
     """Sigma1, K, C_Sigma, C~_Sigma and both swaps are each kept as one index map of exact ones."""
-    stores = [gate._groups for gate in (
-        d.sigma1, d.reverse_gate, d.controlled_shift,
-        d.controlled_shift_reversed, d.swap_direct, d.swap_composed)]
+    # every gate but sigma3, the one-qudit gates first, in the table's order
+    stores = [gate._groups for label, gate in d.items() if label != "sigma3"]
     d = d.d
     ok = all(len(store) == 1 and store[0][2].ndim == 1 and len(store[0][0]) == len(store[0][1]) == n
              for store, n in zip(stores, (d, d) + (d * d,) * 4))
@@ -215,7 +208,7 @@ def _d_max(d_max) -> int:
 def qudit_checks(d_max: int = 8) -> list[VerificationReport]:
     """All qudit-gate invariants for every d in 2..d_max, on each d's gates built once."""
     return [report for d in range(2, _d_max(d_max) + 1)
-            for report in _suite("qudit", _Qudit.build(d))]
+            for report in _suite("qudit", _Qudit(d))]
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +319,7 @@ def check_clone_coherent_marginal(n_max: int) -> tuple[dict, float]:
 
 def fock_checks(n_max: int = 32) -> list[VerificationReport]:
     """All Fock-space invariants at the requested cutoff."""
+    import numpy.random  # before the first check's timer, so no wall_ms pays for the import
     return _suite("fock", fock.FockCutoff(n_max).n_max)
 
 

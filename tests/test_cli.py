@@ -157,7 +157,6 @@ def test_gate_rejects_unknown_name(capsys):
 
 
 def test_gate_names_are_the_gate_table_keys():
-    assert cli.GATE_BUILDERS is gates.GATES
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     name = next(a for a in sub.choices["gate"]._actions if a.dest == "name")
     assert name.choices == sorted(gates.GATES) == [
@@ -269,7 +268,7 @@ def test_gate_writer_matches_whole_payload_serialization(entries):
 
     def dump(fmt):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setitem(cli.GATE_BUILDERS, "swap", lambda d: gate)
+            mp.setitem(gates.GATES, "swap", lambda d: gate)
             mp.setattr("sys.stdout", io.StringIO())
             assert cli.main(["gate", "--name", "swap", "--d", "2", "--format", fmt]) == 0
             return sys.stdout.getvalue()

@@ -1,5 +1,6 @@
 """What each entry point imports: no path loads scipy, which only the tests
-use as an oracle."""
+use as an oracle, and only the Fock suite loads ``numpy.random``, whose import
+takes longer than some checks."""
 
 import os
 import subprocess
@@ -29,9 +30,9 @@ import quswap.cli
 quswap.gates.swap_composed(8)
 quswap.run_suite("qudit", d_max=4)
 assert quswap.cli.main(["gate", "--name", "swap", "--d", "2", "--out", {str(tmp_path / "s.json")!r}]) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), "numpy.random" in sys.modules)
 """)
-    assert out == "[]\n"
+    assert out == "[] False\n"
 
 
 def test_fock_paths_import_no_scipy(tmp_path):
@@ -78,12 +79,17 @@ for name, a in args.items():
 out = {str(tmp_path / "out.json")!r}
 for argv in (["exchange", "--z1", "0.7", "--z2=-0.4+0.3i", "--theta", "1.3"],
              ["clone", "--z=0.6-0.2i", "--t-abs", "0.7"],
-             ["clone", "--input", {str(coefficients)!r}, "--t-abs", "0.7"],
-             ["verify", "--suite", "all", "--d-max", "3", "--n-max", "4"]):
+             ["clone", "--input", {str(coefficients)!r}, "--t-abs", "0.7"]):
     assert quswap.cli.main([*argv, "--out", out]) == 0, argv
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+assert "numpy.random" not in sys.modules
+# the first Fock check records whether numpy.random is loaded as it starts, before its timer
+loaded, first = [], next(key for key in quswap.verify._CHECKS if key[0] == "fock")
+check = quswap.verify._CHECKS[first]
+quswap.verify._CHECKS[first] = lambda n_max: loaded.append("numpy.random" in sys.modules) or check(n_max)
+assert quswap.cli.main(["verify", "--suite", "all", "--d-max", "3", "--n-max", "4", "--out", out]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), loaded)
 """)
-    assert out == "[]\n"
+    assert out == "[] [True]\n"
 
 
 def test_fock_checks_run_when_called_directly():
@@ -105,7 +111,7 @@ def test_qudit_checks_run_when_called_directly():
     out = run_fresh("""
 import quswap.verify as verify
 for d in (2, 3, 8):
-    record = verify._Qudit.build(d)
+    record = verify._Qudit(d)
     for (suite, name), check in verify._CHECKS.items():
         if suite == "qudit":
             print(name, d, check(record).passed)

@@ -59,7 +59,8 @@ def test_a_check_that_raises_is_a_failed_report_naming_the_error():
         def matrix(self):
             raise RuntimeError("first line\nsecond line")
 
-    record = verify._Qudit.build(3)._replace(sigma1=Broken())
+    record = verify._Qudit(3)
+    record["sigma1"] = Broken()
     report = verify.check_weyl_commutation(record)
     assert (report.passed, report.metric) == (False, None)
     assert report.params == {"d": 3, "error": "RuntimeError: first line"}
@@ -216,7 +217,7 @@ def test_qudit_checks_at_d64_never_build_a_two_qudit_matrix():
     # one dense 4096-square gate alone would take 268 MB
     tracemalloc.start()
     try:
-        reports = verify._suite("qudit", verify._Qudit.build(64))
+        reports = verify._suite("qudit", verify._Qudit(64))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -224,20 +225,16 @@ def test_qudit_checks_at_d64_never_build_a_two_qudit_matrix():
     assert peak < 50 * 2**20
 
 
-QUDIT_GATES = ("sigma1", "sigma3", "reverse_gate", "controlled_shift",
-               "controlled_shift_reversed", "swap_direct", "swap_composed")
-
-
 def test_qudit_checks_build_each_gate_once_per_d(monkeypatch):
     # seven checks read the seven gates of a d; rebuilding them per check took 15 builds per d
-    calls = dict.fromkeys(QUDIT_GATES, 0)
-    for name in QUDIT_GATES:
-        def counted(d, name=name, build=getattr(gates, name)):
-            calls[name] += 1
+    calls = dict.fromkeys(gates.GATES, 0)
+    for label, build in list(gates.GATES.items()):
+        def counted(d, label=label, build=build):
+            calls[label] += 1
             return build(d)
-        monkeypatch.setattr(verify.gates, name, counted)
+        monkeypatch.setitem(gates.GATES, label, counted)
     assert all(r.passed for r in verify.qudit_checks(8))
-    assert calls == dict.fromkeys(QUDIT_GATES, 7)  # once for each d in 2..8
+    assert calls == dict.fromkeys(gates.GATES, 7)  # once for each d in 2..8
 
 
 def test_number_conservation_check_fails_on_a_block_across_totals(monkeypatch):
@@ -255,14 +252,14 @@ def test_number_conservation_check_fails_on_a_block_across_totals(monkeypatch):
     assert report.metric == pytest.approx(1 / np.sqrt(2))
 
 
-PERMUTATION_BUILDERS = ("sigma1", "reverse_gate", "controlled_shift",
-                        "controlled_shift_reversed", "swap_direct", "swap_composed")
+# the labels of the six gates kept as one index map: every gate of the table but sigma3
+PERMUTATION_BUILDERS = tuple(label for label in gates.GATES if label != "sigma3")
 
 
 def _per_gate_permutation_structure(d: int) -> bool:
     """``permutation-structure`` as a loop over the gates, one sort per map: the reference."""
     ok = True
-    for gate in (getattr(verify.gates, name)(d) for name in PERMUTATION_BUILDERS):
+    for gate in (gates.GATES[label](d) for label in PERMUTATION_BUILDERS):
         (rows, cols, values), *rest = gate._groups
         every = np.arange(gate.dim)  # rows and cols must each be a permutation of it
         ok = ok and not rest and values.ndim == 1 and bool(np.all(values == 1)) and all(
@@ -299,40 +296,41 @@ STORE_DEFECTS = {
 }
 
 
-def _with_store(monkeypatch, name: str, defect) -> None:
-    """Make ``verify.gates.<name>`` return its gate kept as ``defect`` of its store."""
-    build = getattr(gates, name)
+def _with_store(monkeypatch, label: str, defect) -> None:
+    """Make ``gates.GATES[label]`` return its gate kept as ``defect`` of its store."""
+    build = gates.GATES[label]
 
     def wrong(d):
         gate = build(d)
         (store,) = gate._groups
         return gates.QuditGate._from_groups(defect(*store), gate.label, d=gate.d)
 
-    monkeypatch.setattr(verify.gates, name, wrong)
+    monkeypatch.setitem(gates.GATES, label, wrong)
 
 
-@pytest.mark.parametrize("name", PERMUTATION_BUILDERS)
+@pytest.mark.parametrize("label", PERMUTATION_BUILDERS,
+                         ids=lambda label: gates.GATES[label].__name__)  # the builder's name
 @pytest.mark.parametrize("defect", STORE_DEFECTS)
-def test_stacked_permutation_check_fails_where_the_per_gate_loop_fails(defect, name, monkeypatch):
-    _with_store(monkeypatch, name, STORE_DEFECTS[defect])
+def test_stacked_permutation_check_fails_where_the_per_gate_loop_fails(defect, label, monkeypatch):
+    _with_store(monkeypatch, label, STORE_DEFECTS[defect])
     for d in (2, 3, 8):
         assert _per_gate_permutation_structure(d) is False
-        assert verify.check_permutation_structure(verify._Qudit.build(d)).passed is False
+        assert verify.check_permutation_structure(verify._Qudit(d)).passed is False
 
 
 def test_stacked_permutation_check_fails_on_a_short_store_that_permutes_its_own_length(
         monkeypatch):
     # the swap sends its last index to itself, so dropping it leaves a permutation of
     # d^2 - 1 indices: the per-gate loop took that length as the gate's and passed it
-    _with_store(monkeypatch, "swap_direct", lambda r, c, v: [(r[:-1], c[:-1], v[:-1])])
+    _with_store(monkeypatch, "swap", lambda r, c, v: [(r[:-1], c[:-1], v[:-1])])
     assert _per_gate_permutation_structure(5) is True
-    assert verify.check_permutation_structure(verify._Qudit.build(5)).passed is False
+    assert verify.check_permutation_structure(verify._Qudit(5)).passed is False
 
 
 def test_stacked_and_per_gate_permutation_checks_pass_at_every_d():
     for d in range(2, 65):
         assert _per_gate_permutation_structure(d) is True
-        report = verify.check_permutation_structure(verify._Qudit.build(d))
+        report = verify.check_permutation_structure(verify._Qudit(d))
         assert report.passed and report.metric == 0.0
 
 
@@ -360,8 +358,8 @@ def test_only_the_fock_checks_silence_truncation_warnings(monkeypatch):
             warnings.warn("read", fock.TruncationWarning)
             return getattr(self.gate, name)
 
-    q = verify._Qudit.build(3)
-    q = q._replace(**{name: WarningGate(getattr(q, name)) for name in q._fields[1:]})
+    q = verify._Qudit(3)
+    q.update({label: WarningGate(gate) for label, gate in q.items()})
     for (suite, _), check in verify._CHECKS.items():
         if suite == "qudit":
             with pytest.warns(fock.TruncationWarning, match="read"):
@@ -374,7 +372,7 @@ def test_only_the_fock_checks_silence_truncation_warnings(monkeypatch):
         warnings.warn("probe", fock.TruncationWarning)
         return sigma1(d)
 
-    monkeypatch.setattr(verify.gates, "sigma1", warning_sigma1)
+    monkeypatch.setitem(gates.GATES, "sigma1", warning_sigma1)
     with pytest.warns(fock.TruncationWarning, match="probe"):
         verify.qudit_checks(3)
 
